@@ -77,6 +77,7 @@ class SidonSequence:
                 raise ValueError(f"duplicate element {e}")
             seen.add(e)
         self.elements: tuple[Element, ...] = tuple(sorted(normalized))
+        self._members = seen
 
     @classmethod
     def from_ints(cls, modulus: int, values: Iterable[int]) -> "SidonSequence":
@@ -94,7 +95,10 @@ class SidonSequence:
         return iter(self.elements)
 
     def __contains__(self, el: object) -> bool:
-        return el in set(self.elements)
+        try:
+            return el in self._members
+        except TypeError:  # unhashable, so not an element
+            return False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SidonSequence):
@@ -128,6 +132,41 @@ class SumCollision:
 
 def verify_sidon(seq: SidonSequence) -> DifferenceCollision | None:
     """First collision among ordered differences of distinct elements, if any."""
+    if _differences_distinct(seq.group.moduli, seq.elements):
+        return None
+    return _first_difference_collision(seq)
+
+
+def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]) -> bool:
+    """Whether all ordered differences of distinct elements are distinct.
+
+    Each element is packed into one int, component i in slot i of s bits
+    under a flag bit, with 2^s above every modulus.  Slot i of a + (M - b)
+    holds a_i - b_i + m_i in [1, 2m_i), which fits the slot; adding
+    2^s - m_i raises the flag exactly where that is at least m_i, and so
+    where m_i must be subtracted to leave the residue.  A row of keys
+    a - b over every b, a itself included, adds n - 1 new keys and the
+    zero difference when no collision has occurred.
+    """
+    s = max(moduli).bit_length()
+    offsets = [i * (s + 1) for i in range(len(moduli))]
+    mods = sum(m << o for m, o in zip(moduli, offsets))
+    lift = sum((1 << s) - m << o for m, o in zip(moduli, offsets))
+    flags = sum(1 << o + s for o in offsets)
+    packed = [sum(c << o for c, o in zip(el, offsets)) for el in elements]
+    negated = [mods - b for b in packed]
+    seen: set[int] = set()
+    n = len(packed)
+    for count, a in enumerate(packed, 1):
+        a_lift = a + lift
+        seen.update([a + nb - (f - (f >> s) & mods) for nb in negated for f in [a_lift + nb & flags]])
+        if len(seen) != count * (n - 1) + 1:
+            return False
+    return True
+
+
+def _first_difference_collision(seq: SidonSequence) -> DifferenceCollision | None:
+    """The ordered scan: the first collision in the order of the pairs."""
     g = seq.group
     seen: dict[Element, tuple[Element, Element]] = {}
     for a, b in product(seq.elements, repeat=2):

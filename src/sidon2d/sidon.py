@@ -60,7 +60,8 @@ def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
     n = p * (p - 1)
     # interpolation weights: w1 == 1 mod p-1, 0 mod p; w2 the reverse
     g, u, v = xgcd(p - 1, p)
-    assert g == 1
+    if g != 1:
+        raise RuntimeError(f"gcd({p - 1}, {p}) = {g}, not 1")
     w1 = v * p % n
     w2 = u * (p - 1) % n
     values = [(i * w1 + field.pow(alpha, i) * w2) % n for i in range(p - 1)]
@@ -70,7 +71,8 @@ def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
 def _subfield(field: Field, order: int) -> list[int]:
     """Elements of the subfield of the given order, via the exp table."""
     n = field.order - 1
-    assert n % (order - 1) == 0
+    if n % (order - 1):
+        raise ValueError(f"GF({order}) is not a subfield of GF({field.order})")
     step = n // (order - 1)
     return [0] + [field.exp_table[step * j] for j in range(order - 1)]
 

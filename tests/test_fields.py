@@ -1,10 +1,13 @@
 """Finite field arithmetic, checked against a naive polynomial oracle."""
 
+import itertools
 import random
 
 import pytest
 
-from sidon2d import Field, make_field
+from sidon2d import Field, fields, make_field
+from sidon2d.fields import _poly_mulmod, _poly_powmod, _poly_trim
+from sidon2d.numtheory import factorize, prime_power
 
 
 def naive_mul(field: Field, a: int, b: int) -> int:
@@ -26,6 +29,42 @@ def naive_mul(field: Field, a: int, b: int) -> int:
             for i, m in enumerate(field.modulus):
                 prod[deg - k + i] = (prod[deg - k + i] - c * m) % p
     return field.from_coeffs(prod[:k])
+
+
+def oracle_tables(p: int, k: int, modulus) -> tuple[int, list[int], list]:
+    """Generator, exp table and log table by coefficient-list stepping.
+
+    The generator is the first candidate in coefficient order none of whose
+    (q-1)/r-th powers is 1; the exp table multiplies it in one polynomial
+    product and reduction per power.  Independent of the integer-coded
+    build the field uses.
+    """
+    q = p**k
+    mod = list(modulus) + [1]
+    prime_divs = list(factorize(q - 1)) if q > 2 else []
+    gen = next(
+        cand
+        for cand in itertools.product(range(p), repeat=k)
+        if any(cand)
+        and all(_poly_trim(_poly_powmod(cand, (q - 1) // r, mod, p)) != [1] for r in prime_divs)
+    )
+    exp = [0] * (q - 1)
+    cur = [1]
+    for i in range(q - 1):
+        exp[i] = sum(c * p**j for j, c in enumerate(cur))
+        cur = _poly_mulmod(cur, gen, mod, p)
+    assert _poly_trim(cur) == [1]
+    log: list = [None] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    return (exp[1] if q > 2 else 1), exp, log
+
+
+def assert_tables_match_oracle(f: Field) -> None:
+    generator, exp, log = oracle_tables(f.p, f.k, f.modulus)
+    assert f.generator == generator, (f.p, f.k, f.modulus)
+    assert f.exp_table == exp, (f.p, f.k, f.modulus)
+    assert f.log_table == log, (f.p, f.k, f.modulus)
 
 
 # -- frozen small-field facts ----------------------------------------------
@@ -103,6 +142,48 @@ def test_exp_table_satisfies_the_cyclic_law(p, k):
     for i in range(n):
         for j in range(n):
             assert f.mul(exp[i], exp[j]) == exp[(i + j) % n]
+
+
+def test_tables_match_oracle_for_every_canonical_field_up_to_2_12():
+    built = 0
+    for q in range(2, (1 << 12) + 1):
+        pk = prime_power(q)
+        if pk is not None:
+            assert_tables_match_oracle(Field(*pk))
+            built += 1
+    assert built == 604  # 564 primes and 40 higher powers
+
+
+@pytest.mark.parametrize(
+    "p,k,modulus",
+    [
+        (2, 3, (1, 1, 0)),  # x^3 + x + 1
+        (2, 8, (1, 0, 1, 1, 1, 0, 0, 0)),  # x^8 + x^4 + x^3 + x^2 + 1
+        (3, 4, (2, 0, 0, 1)),
+        (5, 3, (2, 3, 0)),
+        (13, 2, (2, 1)),
+    ],
+)
+def test_tables_match_oracle_for_explicit_moduli(p, k, modulus):
+    f = Field(p, k, modulus=modulus)
+    assert f.modulus != Field(p, k).modulus
+    assert_tables_match_oracle(f)
+
+
+@pytest.mark.parametrize(
+    "p,k,element,message",
+    [
+        (7, 1, (2,), "order"),  # 2 has order 3 in GF(7)
+        (3, 2, (2, 0), "order"),  # -1 has order 2 in GF(9)
+        (2, 4, (1, 1, 0, 0), "order"),  # 1 + x has order 5 under x^4 + x^3 + 1
+        (7, 1, (0,), "return to 1"),  # the powers of 0 never come back
+        (3, 2, (0, 0), "return to 1"),
+    ],
+)
+def test_table_build_rejects_a_non_primitive_generator(monkeypatch, p, k, element, message):
+    monkeypatch.setattr(fields, "_find_generator", lambda *_: element)
+    with pytest.raises(RuntimeError, match=message):
+        Field(p, k)
 
 
 # -- ring axioms on coefficient arithmetic ----------------------------------

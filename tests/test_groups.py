@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidon2d import (
@@ -18,6 +18,7 @@ from sidon2d import (
     verify_sidon_sums,
     verify_weak_sidon,
 )
+from sidon2d.groups import _first_difference_collision
 
 
 def test_group_spec_basics():
@@ -58,6 +59,17 @@ def test_sequence_int_helpers():
     multi = SidonSequence(GroupSpec((2, 3)), [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         multi.as_ints()
+
+
+def test_membership_is_false_for_non_members_of_any_type():
+    s = SidonSequence.from_ints(42, [33, 0, 8])
+    assert (33,) in s and (0,) in s
+    for other in [(9,), (8, 0), (), 8, [8], [[8]], ([8],), "8", None, {8: 0}, 8.5]:
+        assert other not in s
+    multi = SidonSequence(GroupSpec((2, 3)), [(0, 0), (1, 1)])
+    assert (1, 1) in multi
+    assert [1, 1] not in multi
+    assert (1,) not in multi
 
 
 def test_sequence_equality_and_hash():
@@ -143,6 +155,35 @@ def test_difference_and_sum_views_agree_random(case):
     assert diff_ok == sums_ok
     if diff_ok:
         assert verify_weak_sidon(s) is None  # strict pairs are a sub-check
+
+
+@st.composite
+def planted_subsets(draw):
+    """A subset of a group of rank 1-3, often with a planted collision:
+    w = x - y + z joins x, y, z, so that x - y == w - z."""
+    moduli = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    group = GroupSpec(tuple(moduli))
+    pool = list(group.elements())
+    size = draw(st.integers(0, min(len(pool), 9)))
+    subset = draw(st.permutations(pool))[:size]
+    if len(subset) >= 3 and draw(st.booleans()):
+        x, y, z = draw(st.permutations(subset))[:3]
+        w = group.add(group.sub(x, y), z)
+        if w not in subset:
+            subset.append(w)
+    return group, subset
+
+
+@given(planted_subsets())
+@example((GroupSpec((5,)), []))
+@example((GroupSpec((1,)), [(0,)]))
+@example((GroupSpec((1, 7, 1)), [(0, 0, 0), (0, 1, 0), (0, 3, 0)]))
+@example((GroupSpec((6,)), [(0,), (1,), (3,)]))
+@settings(max_examples=300, deadline=None)
+def test_verify_sidon_equals_the_ordered_scan(case):
+    group, subset = case
+    s = SidonSequence(group, subset)
+    assert verify_sidon(s) == _first_difference_collision(s)
 
 
 # -- counting bound -----------------------------------------------------------

@@ -14,10 +14,12 @@ from sidon2d import (
     construct_ruzsa,
     construct_singer,
     crt_flatten,
+    make_field,
     max_sidon_size,
     sidon_upper_bound,
     verify_sidon,
 )
+from sidon2d.sidon import _subfield
 
 PRIME_POWERS = [3, 4, 5, 7, 8, 9, 11, 13, 16]
 PRIMES = [3, 5, 7, 11, 13]
@@ -132,6 +134,15 @@ def test_singer_is_a_perfect_difference_set(q):
     vals = s.as_ints()
     diffs = [(a - b) % n for a in vals for b in vals if a != b]
     assert sorted(diffs) == list(range(1, n))  # every residue exactly once
+
+
+def test_subfield_elements_and_rejection():
+    f = make_field(2, 4)
+    sub = _subfield(f, 4)
+    assert len(sub) == 4
+    assert all(f.pow(x, 4) == x for x in sub)  # the roots of x^4 - x
+    with pytest.raises(ValueError):
+        _subfield(f, 8)  # 7 does not divide 15
 
 
 def test_family_constructions_are_deterministic():
