@@ -43,6 +43,13 @@ from .sidon import (
 
 SEQUENCE_FAMILIES = ("bose", "singer", "ruzsa", "power-pairs")
 PATTERN_FAMILIES = ("welch", "golomb")
+# verify kind -> (witness kind, field naming the repeated key)
+WITNESSES = {
+    "sidon": ("difference-collision", "difference"),
+    "weak-sidon": ("sum-collision", "total"),
+    "ddc": ("segment-collision", "difference"),
+    "periodic-ddc": ("segment-collision", "difference"),
+}
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -152,55 +159,32 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     data = _read_json(args.input)
+    rank = 2  # DDC witnesses are points
     if args.kind in ("sidon", "weak-sidon"):
         seq = sequence_from_json(data)
         rank = seq.group.rank
-        if args.kind == "sidon":
-            collision = verify_sidon(seq)
-            if collision is None:
-                _emit({"ok": True})
-                return 0
-            _emit(
-                {
-                    "ok": False,
-                    "kind": "difference-collision",
-                    "difference": _element_json(collision.difference, rank),
-                    "pair_a": [_element_json(e, rank) for e in collision.pair_a],
-                    "pair_b": [_element_json(e, rank) for e in collision.pair_b],
-                }
-            )
-            return 2
-        collision = verify_weak_sidon(seq)
-        if collision is None:
-            _emit({"ok": True})
-            return 0
-        _emit(
-            {
-                "ok": False,
-                "kind": "sum-collision",
-                "total": _element_json(collision.total, rank),
-                "pair_a": [_element_json(e, rank) for e in collision.pair_a],
-                "pair_b": [_element_json(e, rank) for e in collision.pair_b],
-            }
-        )
-        return 2
-
-    if args.kind == "ddc":
-        if "dots" not in data:
-            raise ValueError("ddc JSON needs a 'dots' key")
-        collision = is_ddc(tuple(tuple(int(c) for c in d) for d in data["dots"]))
+        collision = (verify_sidon if args.kind == "sidon" else verify_weak_sidon)(seq)
+    elif args.kind == "ddc":
+        try:
+            dots = [(int(x), int(y)) for x, y in data["dots"]]
+        except KeyError:
+            raise ValueError("ddc JSON needs a 'dots' key") from None
+        except TypeError as exc:
+            raise ValueError(f"malformed ddc JSON: {exc}") from None
+        collision = is_ddc(dots)
     else:
         collision = is_doubly_periodic_ddc(pattern_from_json(data))
     if collision is None:
         _emit({"ok": True})
         return 0
+    kind, key = WITNESSES[args.kind]
     _emit(
         {
             "ok": False,
-            "kind": "segment-collision",
-            "difference": list(collision.difference),
-            "pair_a": [list(p) for p in collision.pair_a],
-            "pair_b": [list(p) for p in collision.pair_b],
+            "kind": kind,
+            key: _element_json(getattr(collision, key), rank),
+            "pair_a": [_element_json(e, rank) for e in collision.pair_a],
+            "pair_b": [_element_json(e, rank) for e in collision.pair_b],
         }
     )
     return 2
@@ -272,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Construct, verify, and interconvert Sidon sequences and"
         " doubly periodic distinct difference configurations.",
     )
-    parser.add_argument("--seed", type=int, help="reserved; all operations are deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named construction")
@@ -286,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("verify", help="check a property of a JSON input")
-    p.add_argument("--kind", required=True, choices=("sidon", "weak-sidon", "ddc", "periodic-ddc"))
+    p.add_argument("--kind", required=True, choices=tuple(WITNESSES))
     p.add_argument("--input", help="input file (default: stdin)")
     p.set_defaults(func=_cmd_verify)
 

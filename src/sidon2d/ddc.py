@@ -14,12 +14,17 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterable
 
-from .fields import Field, make_field
-from .folding import Direction, defines_folding, fold, unfold
-from .groups import SidonSequence, sidon_upper_bound, verify_sidon
+from .fields import make_field
+from .folding import Direction, fold, unfold
+from .groups import (
+    SidonSequence,
+    first_collision,
+    max_distinct_difference_set,
+    sidon_upper_bound,
+    verify_sidon,
+)
 from .lattices import Lattice, Point, Shape, Tiling
-from .numtheory import prime_power
-from .sidon import _max_distinct_difference_set
+from .numtheory import is_prime, prime_power
 
 
 @dataclass(frozen=True)
@@ -34,16 +39,10 @@ class SegmentCollision:
 def is_ddc(dots: Iterable[Point]) -> SegmentCollision | None:
     """First repeated difference vector among distinct dots, if any."""
     pts = sorted({(int(x), int(y)) for x, y in dots})
-    seen: dict[Point, tuple[Point, Point]] = {}
-    for a in pts:
-        for b in pts:
-            if a == b:
-                continue
-            d = (a[0] - b[0], a[1] - b[1])
-            if d in seen:
-                return SegmentCollision(d, seen[d], (a, b))
-            seen[d] = (a, b)
-    return None
+    hit = first_collision(
+        ((a[0] - b[0], a[1] - b[1]), (a, b)) for a in pts for b in pts if a != b
+    )
+    return SegmentCollision(*hit) if hit else None
 
 
 @dataclass(frozen=True)
@@ -81,17 +80,15 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> SegmentCollision | None:
     collision here is exactly two segments that coincide in some pair of
     copies of the replicated pattern.
     """
-    tiling = pattern.tiling
-    seen: dict[Point, tuple[Point, Point]] = {}
-    for a in sorted(pattern.dots):
-        for b in sorted(pattern.dots):
-            if a == b:
-                continue
-            d = tiling.representative((a[0] - b[0], a[1] - b[1]))
-            if d in seen:
-                return SegmentCollision(d, seen[d], (a, b))
-            seen[d] = (a, b)
-    return None
+    representative = pattern.tiling.representative
+    dots = sorted(pattern.dots)
+    hit = first_collision(
+        (representative((a[0] - b[0], a[1] - b[1])), (a, b))
+        for a in dots
+        for b in dots
+        if a != b
+    )
+    return SegmentCollision(*hit) if hit else None
 
 
 def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, SegmentCollision] | None:
@@ -117,22 +114,13 @@ def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, SegmentCollision]
     return None
 
 
-def _primitive_or_default(f: Field, alpha: int | None, name: str) -> int:
-    if alpha is None:
-        return f.generator
-    if not f.is_primitive(alpha):
-        raise ValueError(f"{name} = {alpha} is not primitive in GF({f.order})")
-    return alpha
-
-
 def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:
     """Dots (i, alpha^i mod p) on a (p-1)-wide, p-tall rectangle,
     replicated by the diagonal lattice [[p-1, 0], [0, p]]."""
-    pp = prime_power(p)
-    if pp is None or pp[1] != 1:
+    if not is_prime(p):
         raise ValueError(f"need a prime, got {p}")
     f = make_field(p)
-    alpha = _primitive_or_default(f, alpha, "alpha")
+    alpha = f.primitive_or_generator(alpha, "alpha")
     dots = frozenset((i, f.pow(alpha, i)) for i in range(p - 1))
     return PeriodicDdc(
         Lattice(((p - 1, 0), (0, p))), Shape.rectangle(p - 1, p), dots
@@ -148,8 +136,8 @@ def construct_golomb(
     if pp is None or q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     f = make_field(*pp)
-    alpha = _primitive_or_default(f, alpha, "alpha")
-    beta = _primitive_or_default(f, beta, "beta")
+    alpha = f.primitive_or_generator(alpha, "alpha")
+    beta = f.primitive_or_generator(beta, "beta")
     dots = frozenset(
         (i, j)
         for i, j in product(range(q - 1), repeat=2)
@@ -181,8 +169,6 @@ def unfold_to_sidon(
     elif anchor not in pattern.dots:
         raise ValueError(f"anchor {anchor} is not a dot")
     tiling = pattern.tiling
-    if not defines_folding(tiling, direction):
-        raise ValueError(f"direction {direction} does not define a folding")
     ax, ay = anchor
     translated = {tiling.representative((x - ax, y - ay)) for x, y in pattern.dots}
     bits = unfold({cell: cell in translated for cell in pattern.shape.points}, tiling, direction)
@@ -224,7 +210,7 @@ def max_ddc_dots(
     candidates = sorted(shape.points)
     candidates.remove((0, 0))
     key = lattice.coset_key
-    return _max_distinct_difference_set(
+    return max_distinct_difference_set(
         (0, 0),
         candidates,
         lambda a, b: key((a[0] - b[0], a[1] - b[1])),
@@ -265,4 +251,6 @@ def pattern_from_json(data: dict) -> PeriodicDdc:
         dots = frozenset(tuple(int(c) for c in d) for d in data["dots"])
     except KeyError as missing:
         raise ValueError(f"pattern JSON is missing the {missing} key") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed pattern JSON: {exc}") from None
     return PeriodicDdc(lattice, shape, dots)

@@ -101,26 +101,16 @@ def _is_irreducible(coeffs: Sequence[int], p: int, k: int) -> bool:
     f = list(coeffs) + [1]
     # f is irreducible iff x^(p^k) == x mod f and, for every prime r | k,
     # x^(p^(k/r)) - x shares no factor with f
-    x = [0, 1]
-    t = x
-    powers = {}
+    t = [0, 1]
+    minus_x = {}  # step -> x^(p^step) - x mod f
     for step in range(1, k + 1):
         t = _poly_powmod(t, p, f, p)
-        powers[step] = t
-    top = list(powers[k])
-    if len(top) < 2:
-        top += [0] * (2 - len(top))
-    top[1] = (top[1] - 1) % p
-    if _poly_trim(top):
-        return False
-    for r in factorize(k):
-        u = list(powers[k // r])
-        if len(u) < 2:
-            u += [0] * (2 - len(u))
+        u = t + [0] * (2 - len(t))
         u[1] = (u[1] - 1) % p
-        if len(_poly_gcd(list(f), u, p)) != 1:
-            return False
-    return True
+        minus_x[step] = _poly_trim(u)
+    if minus_x[k]:
+        return False
+    return all(len(_poly_gcd(f, minus_x[k // r], p)) == 1 for r in factorize(k))
 
 
 def _find_generator(p: int, k: int, mod: Sequence[int]) -> tuple[int, ...]:
@@ -308,9 +298,6 @@ class Field:
         n = self.order - 1
         return self.exp_table[-self.log_table[a] % n]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     def pow(self, a: int, e: int) -> int:
         self._check(a)
         if a == 0:
@@ -365,17 +352,18 @@ class Field:
             return False
         return self.element_order(x) == self.order - 1
 
+    def primitive_or_generator(self, alpha: int | None, name: str) -> int:
+        """alpha, checked to be primitive; the generator when alpha is None."""
+        if alpha is None:
+            return self.generator
+        if not self.is_primitive(alpha):
+            raise ValueError(f"{name} = {alpha} is not primitive in GF({self.order})")
+        return alpha
+
     def primitive_elements(self) -> list[int]:
         return [x for x in range(1, self.order) if self.is_primitive(x)]
 
     # -- misc ---------------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "Field":
-        return cls(int(data["p"]), int(data["k"]), data.get("modulus"))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):

@@ -49,8 +49,8 @@ def defines_folding(tiling: Tiling, direction: Direction) -> bool:
     if complete:
         d1, d2 = direction
         last = row[-1]
-        # a complete trail must re-enter at the origin on the next step
-        assert tiling.representative((last[0] + d1, last[1] + d2)) == (0, 0)
+        if tiling.representative((last[0] + d1, last[1] + d2)) != (0, 0):
+            raise RuntimeError(f"the complete row of {direction} does not re-enter at the origin")
     return complete
 
 
@@ -96,7 +96,8 @@ def folding_directions(tiling: Tiling) -> list[Direction]:
             seen.add(key)
             if defines_folding(tiling, (d1, d2)):
                 out.append((d1, d2))
-    assert not out or len(out) == euler_phi(n)
+    if out and len(out) != euler_phi(n):
+        raise RuntimeError(f"{len(out)} folding directions, expected phi({n}) = {euler_phi(n)}")
     return out
 
 

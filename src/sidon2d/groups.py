@@ -3,7 +3,8 @@
 A Sidon sequence is a subset whose ordered differences of distinct
 elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
-sums with repetition are distinct.
+sums with repetition are distinct.  Every distinctness check in the
+package is one first_collision scan over (key, pair) items.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Iterator
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 from .numtheory import modinv
 
@@ -112,6 +113,19 @@ class SidonSequence:
         return f"SidonSequence({self.group.moduli}, {list(self.elements)})"
 
 
+def first_collision(
+    keyed_pairs: Iterable[tuple[Hashable, Any]],
+) -> tuple[Hashable, Any, Any] | None:
+    """The first key that repeats, with the pair that first had it and
+    the pair that repeated it; None when every key is distinct."""
+    seen: dict[Hashable, Any] = {}
+    for key, pair in keyed_pairs:
+        if key in seen:
+            return key, seen[key], pair
+        seen[key] = pair
+    return None
+
+
 @dataclass(frozen=True)
 class DifferenceCollision:
     """Two distinct ordered pairs with the same difference."""
@@ -167,40 +181,27 @@ def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]
 
 def _first_difference_collision(seq: SidonSequence) -> DifferenceCollision | None:
     """The ordered scan: the first collision in the order of the pairs."""
-    g = seq.group
-    seen: dict[Element, tuple[Element, Element]] = {}
-    for a, b in product(seq.elements, repeat=2):
-        if a == b:
-            continue
-        d = g.sub(a, b)
-        if d in seen:
-            return DifferenceCollision(d, seen[d], (a, b))
-        seen[d] = (a, b)
-    return None
+    sub = seq.group.sub
+    hit = first_collision(
+        (sub(a, b), (a, b)) for a, b in product(seq.elements, repeat=2) if a != b
+    )
+    return DifferenceCollision(*hit) if hit else None
 
 
 def verify_sidon_sums(seq: SidonSequence) -> SumCollision | None:
     """First collision among pairwise sums, repetition allowed, if any."""
-    g = seq.group
-    seen: dict[Element, tuple[Element, Element]] = {}
-    for a, b in combinations_with_replacement(seq.elements, 2):
-        s = g.add(a, b)
-        if s in seen:
-            return SumCollision(s, seen[s], (a, b))
-        seen[s] = (a, b)
-    return None
+    add = seq.group.add
+    hit = first_collision(
+        (add(a, b), (a, b)) for a, b in combinations_with_replacement(seq.elements, 2)
+    )
+    return SumCollision(*hit) if hit else None
 
 
 def verify_weak_sidon(seq: SidonSequence) -> SumCollision | None:
     """Like verify_sidon_sums but only sums of two distinct elements."""
-    g = seq.group
-    seen: dict[Element, tuple[Element, Element]] = {}
-    for a, b in combinations(seq.elements, 2):
-        s = g.add(a, b)
-        if s in seen:
-            return SumCollision(s, seen[s], (a, b))
-        seen[s] = (a, b)
-    return None
+    add = seq.group.add
+    hit = first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))
+    return SumCollision(*hit) if hit else None
 
 
 def sidon_upper_bound(n: int) -> int:
@@ -209,6 +210,56 @@ def sidon_upper_bound(n: int) -> int:
     if n < 1:
         raise ValueError(f"group order must be positive, got {n}")
     return (1 + math.isqrt(4 * n - 3)) // 2
+
+
+def max_distinct_difference_set(
+    identity: Hashable,
+    candidates: Sequence[Hashable],
+    diff: Callable[[Hashable, Hashable], Hashable],
+    upper_bound: int,
+) -> tuple[int, tuple]:
+    """Largest subset (with the identity) whose ordered differences of
+    distinct members are pairwise distinct; ties break to the
+    lexicographically smallest witness.
+
+    Depth-first over candidates in their given (sorted) order, recording
+    the first witness of each new size: branches are cut only when they
+    cannot exceed the best size, so the first maximum found is the
+    lexicographically smallest one.  Stops early at the counting bound.
+    """
+    best_size = 1
+    best_witness: tuple = (identity,)
+    chosen: list = [identity]
+    used: set = set()
+
+    def extend(start: int) -> bool:
+        nonlocal best_size, best_witness
+        if len(chosen) > best_size:
+            best_size = len(chosen)
+            best_witness = tuple(chosen)
+            if best_size == upper_bound:
+                return True
+        for idx in range(start, len(candidates)):
+            if len(chosen) + (len(candidates) - idx) <= best_size:
+                break  # cannot beat the best even taking everything left
+            c = candidates[idx]
+            new_diffs = set()
+            for x in chosen:
+                new_diffs.add(diff(c, x))
+                new_diffs.add(diff(x, c))
+            if len(new_diffs) < 2 * len(chosen) or new_diffs & used:
+                continue
+            chosen.append(c)
+            used.update(new_diffs)
+            done = extend(idx + 1)
+            chosen.pop()
+            used.difference_update(new_diffs)
+            if done:
+                return True
+        return False
+
+    extend(0)
+    return best_size, best_witness
 
 
 class CrtIsomorphism:
@@ -251,9 +302,14 @@ def sequence_to_json(seq: SidonSequence) -> dict:
 
 
 def sequence_from_json(data: dict) -> SidonSequence:
-    if "modulus" in data:
-        return SidonSequence.from_ints(int(data["modulus"]), data["elements"])
-    if "moduli" in data:
-        group = GroupSpec(tuple(int(m) for m in data["moduli"]))
-        return SidonSequence(group, data["elements"])
+    try:
+        if "modulus" in data:
+            return SidonSequence.from_ints(int(data["modulus"]), data["elements"])
+        if "moduli" in data:
+            group = GroupSpec(tuple(int(m) for m in data["moduli"]))
+            return SidonSequence(group, data["elements"])
+    except KeyError as missing:
+        raise ValueError(f"sequence JSON is missing the {missing} key") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed sequence JSON: {exc}") from None
     raise ValueError("sequence JSON needs a 'modulus' or 'moduli' key")

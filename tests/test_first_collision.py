@@ -1,0 +1,150 @@
+"""Every distinctness check against a plain first-collision loop.
+
+Each oracle below is an explicit dictionary scan over the pairs in
+lexicographic order, the form each check had before they shared one
+scan; the checks must name the same first witness.
+"""
+
+from itertools import combinations, combinations_with_replacement, product
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sidon2d import (
+    DifferenceCollision,
+    GroupSpec,
+    Lattice,
+    PeriodicDdc,
+    SegmentCollision,
+    SidonSequence,
+    SumCollision,
+    fundamental_shape,
+    is_ddc,
+    is_doubly_periodic_ddc,
+    verify_sidon_sums,
+    verify_weak_sidon,
+)
+from sidon2d.groups import _first_difference_collision
+
+# -- oracles ------------------------------------------------------------------
+
+
+def oracle_difference_collision(seq):
+    g = seq.group
+    seen = {}
+    for a, b in product(seq.elements, repeat=2):
+        if a == b:
+            continue
+        d = g.sub(a, b)
+        if d in seen:
+            return DifferenceCollision(d, seen[d], (a, b))
+        seen[d] = (a, b)
+    return None
+
+
+def oracle_sum_collision(seq, pairs):
+    g = seq.group
+    seen = {}
+    for a, b in pairs(seq.elements, 2):
+        s = g.add(a, b)
+        if s in seen:
+            return SumCollision(s, seen[s], (a, b))
+        seen[s] = (a, b)
+    return None
+
+
+def oracle_is_ddc(dots):
+    pts = sorted({(int(x), int(y)) for x, y in dots})
+    seen = {}
+    for a in pts:
+        for b in pts:
+            if a == b:
+                continue
+            d = (a[0] - b[0], a[1] - b[1])
+            if d in seen:
+                return SegmentCollision(d, seen[d], (a, b))
+            seen[d] = (a, b)
+    return None
+
+
+def oracle_is_doubly_periodic_ddc(pattern):
+    tiling = pattern.tiling
+    seen = {}
+    for a in sorted(pattern.dots):
+        for b in sorted(pattern.dots):
+            if a == b:
+                continue
+            d = tiling.representative((a[0] - b[0], a[1] - b[1]))
+            if d in seen:
+                return SegmentCollision(d, seen[d], (a, b))
+            seen[d] = (a, b)
+    return None
+
+
+# -- inputs -------------------------------------------------------------------
+
+
+@st.composite
+def sequences(draw):
+    """A subset of a group of rank 1-2, often with a planted collision:
+    w = x - y + z makes x - y == w - z, and w = x + y - z makes
+    x + y == w + z."""
+    moduli = draw(st.lists(st.integers(1, 9), min_size=1, max_size=2))
+    group = GroupSpec(tuple(moduli))
+    pool = list(group.elements())
+    subset = draw(st.permutations(pool))[: draw(st.integers(0, min(len(pool), 8)))]
+    if len(subset) >= 3 and draw(st.booleans()):
+        x, y, z = draw(st.permutations(subset))[:3]
+        if draw(st.booleans()):
+            w = group.add(group.sub(x, y), z)
+        else:
+            w = group.sub(group.add(x, y), z)
+        if w not in subset:
+            subset.append(w)
+    return SidonSequence(group, subset)
+
+
+@st.composite
+def patterns(draw):
+    """Dots on a tiling whose triangular basis ((a, b), (0, d)) has
+    2 <= a, d <= 4, often with a planted collision modulo the lattice."""
+    a, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    lattice = Lattice(((a, draw(st.integers(0, d - 1))), (0, d)))
+    shape = fundamental_shape(lattice)
+    cells = sorted(shape.points)
+    dots = draw(st.permutations(cells))[: draw(st.integers(0, len(cells)))]
+    pattern = PeriodicDdc(lattice, shape, frozenset(dots))
+    if len(dots) >= 3 and draw(st.booleans()):
+        x, y, z = draw(st.permutations(dots))[:3]
+        w = pattern.tiling.representative((x[0] - y[0] + z[0], x[1] - y[1] + z[1]))
+        pattern = PeriodicDdc(lattice, shape, pattern.dots | {w})
+    return pattern
+
+
+# -- agreement ----------------------------------------------------------------
+
+
+@given(sequences())
+@example(SidonSequence.from_ints(6, [0, 1, 3]))
+@example(SidonSequence.from_ints(8, [0, 1, 2, 3]))
+@example(SidonSequence.from_ints(1, [0]))
+@settings(max_examples=300, deadline=None)
+def test_sequence_scans_match_their_oracles(seq):
+    assert _first_difference_collision(seq) == oracle_difference_collision(seq)
+    assert verify_sidon_sums(seq) == oracle_sum_collision(seq, combinations_with_replacement)
+    assert verify_weak_sidon(seq) == oracle_sum_collision(seq, combinations)
+
+
+@given(patterns())
+@settings(max_examples=300, deadline=None)
+def test_pattern_scans_match_their_oracles(pattern):
+    assert is_doubly_periodic_ddc(pattern) == oracle_is_doubly_periodic_ddc(pattern)
+    assert is_ddc(pattern.dots) == oracle_is_ddc(pattern.dots)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), max_size=8))
+@example([(0, 0), (1, 0), (2, 0)])
+@example([(0, 0), (0, 0), (1, 2)])
+@settings(max_examples=300, deadline=None)
+def test_plain_ddc_scan_matches_its_oracle(dots):
+    assert is_ddc(dots) == oracle_is_ddc(dots)

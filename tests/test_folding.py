@@ -15,6 +15,7 @@ from sidon2d import (
     folding_directions,
     unfold,
 )
+from sidon2d import folding
 from sidon2d.numtheory import euler_phi
 
 WELCH7 = Tiling(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7))
@@ -120,6 +121,26 @@ def test_directions_are_coset_distinct():
     assert dirs == [(0, 1), (0, 2)]
     keys = {TROMINO.key(d) for d in dirs}
     assert len(keys) == len(dirs)
+
+
+def test_a_wrong_direction_count_is_an_error(monkeypatch):
+    monkeypatch.setattr(folding, "euler_phi", lambda n: euler_phi(n) + 1)
+    with pytest.raises(RuntimeError, match="folding directions"):
+        folding_directions(WELCH7)
+    assert folding_directions(square(2)) == []  # an empty result is not counted
+
+
+def test_a_complete_row_that_does_not_re_enter_is_an_error(monkeypatch):
+    real = folding.folded_row
+
+    def reversed_row(tiling, direction):
+        row, complete = real(tiling, direction)
+        return row[::-1], complete
+
+    monkeypatch.setattr(folding, "folded_row", reversed_row)
+    with pytest.raises(RuntimeError, match="re-enter"):
+        defines_folding(WELCH7, (1, 1))
+    assert not defines_folding(square(2), (1, 1))  # only complete rows are checked
 
 
 def test_squares_have_no_folding_directions():

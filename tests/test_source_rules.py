@@ -1,0 +1,43 @@
+"""Design rules for the package source, checked on its syntax trees.
+
+- No `assert` statements: `python -O` strips them, so every invariant
+  the code relies on at runtime is an explicit check that raises.
+- No module imports a private name (one starting with `_`) from another
+  sidon2d module: anything shared between modules gets a public name.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import sidon2d
+
+SOURCES = sorted(Path(sidon2d.__file__).parent.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_the_package_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"groups.py", "ddc.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name} uses assert on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_private_imports_between_modules(path):
+    private = [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "sidon2d")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], f"{path.name} imports private names: {private}"
