@@ -5,7 +5,9 @@ reducing back into the shape through the lattice whenever the step
 leaves it, visits a trail of cells.  When the trail covers the whole
 shape without repeats, the direction "defines a folding": the trail is
 a bijection between sequence positions 0..|S|-1 and shape cells, and
-fold/unfold transport symbols across it in both directions.
+fold/unfold transport symbols across it in both directions.  Whether
+a direction folds is decided in closed form by `defines_folding_gcd`;
+the walk-based `defines_folding` is the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ Direction = tuple[int, int]
 
 
 def _check_direction(direction: Direction) -> Direction:
-    d1, d2 = int(direction[0]), int(direction[1])
-    if (d1, d2) == (0, 0):
-        raise ValueError("direction must be a nonzero vector")
+    try:
+        d1, d2 = direction
+    except (TypeError, ValueError):
+        d1 = d2 = None  # not a pair
+    if type(d1) is not int or type(d2) is not int or d1 == d2 == 0:  # bools fail too
+        raise ValueError(f"direction must be a nonzero pair of integers, got {direction!r}")
     return d1, d2
 
 
@@ -58,44 +63,34 @@ def defines_folding_gcd(lattice: Lattice, size: int, direction: Direction) -> bo
     """Closed-form folding test from the basis entries alone.
 
     With basis rows (v11, v12), (v21, v22) and tau = gcd(|d1|, |d2|),
-    the direction folds a shape of the lattice's volume if and only if
-    the two cross-determinants d1*v22 - d2*v21 and d2*v11 - d1*v12 are
-    coprime after dividing out tau, and tau is coprime to the size.
-    Agreement with the walk-based test is part of the test suite.
+    a direction folds a shape of the lattice's volume iff tau is coprime
+    to the size and the cross-determinants d1*v22 - d2*v21 and
+    d2*v11 - d1*v12 are coprime after dividing out tau: gcd exactly tau.
     """
     d1, d2 = _check_direction(direction)
     if size <= 0 or size != lattice.volume:
         raise ValueError(f"size {size} does not match the lattice volume {lattice.volume}")
     (v11, v12), (v21, v22) = lattice.rows
     tau = math.gcd(d1, d2)
-    a = abs(d1 * v22 - d2 * v21) // tau
-    b = abs(d2 * v11 - d1 * v12) // tau
-    return math.gcd(a, b) == 1 and math.gcd(tau, size) == 1
+    return math.gcd(d1 * v22 - d2 * v21, d2 * v11 - d1 * v12) == tau and math.gcd(tau, size) == 1
 
 
 def folding_directions(tiling: Tiling) -> list[Direction]:
     """All folding directions, one representative per residue class.
 
-    Directions congruent modulo the lattice trace the same row, so
-    candidates are deduplicated by coset; representatives are the
-    lexicographically smallest in [0, |S|)^2.  Whenever the result is
-    nonempty it has exactly phi(|S|) entries.
+    Directions congruent modulo the lattice trace the same row, so each
+    coset gets one closed-form test: O(|S|) work.  Representatives are
+    the lexicographically smallest in [0, |S|)^2, namely the cells of
+    [0, a) x [0, d) for the triangular basis ((a, b), (0, d)): any other
+    member has a larger x, or the same x and a y larger by a multiple of d.
+    Whenever the result is nonempty it has exactly phi(|S|) entries.
     """
     n = tiling.size
     if n == 1:
         return [(0, 1)]  # every direction folds the single cell
-    out = []
-    seen: set[Point] = set()
-    for d1 in range(n):
-        for d2 in range(n):
-            if (d1, d2) == (0, 0):
-                continue
-            key = tiling.key((d1, d2))
-            if key in seen:
-                continue
-            seen.add(key)
-            if defines_folding(tiling, (d1, d2)):
-                out.append((d1, d2))
+    (a, _), (_, d) = tiling.lattice.hnf
+    cells = ((x, y) for x in range(a) for y in range(d) if x or y)
+    out = [c for c in cells if defines_folding_gcd(tiling.lattice, n, c)]
     if out and len(out) != euler_phi(n):
         raise RuntimeError(f"{len(out)} folding directions, expected phi({n}) = {euler_phi(n)}")
     return out
@@ -105,21 +100,19 @@ def fold(
     seq: Sequence[Hashable], tiling: Tiling, direction: Direction
 ) -> dict[Point, Hashable]:
     """Lay a length-|S| sequence onto the shape along the folded row."""
-    row, complete = folded_row(tiling, direction)
-    if not complete:
+    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
         raise ValueError(f"direction {direction} does not define a folding")
     if len(seq) != tiling.size:
         raise ValueError(f"sequence length {len(seq)} != shape size {tiling.size}")
-    return {cell: seq[t] for t, cell in enumerate(row)}
+    return dict(zip(folded_row(tiling, direction)[0], seq))
 
 
 def unfold(
     array: Mapping[Point, Hashable], tiling: Tiling, direction: Direction
 ) -> list[Hashable]:
     """Read the shape's cells back into a sequence along the folded row."""
-    row, complete = folded_row(tiling, direction)
-    if not complete:
+    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
         raise ValueError(f"direction {direction} does not define a folding")
     if set(array) != tiling.shape.points:
         raise ValueError("array cells do not match the shape")
-    return [array[cell] for cell in row]
+    return [array[cell] for cell in folded_row(tiling, direction)[0]]

@@ -80,7 +80,10 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "Lattice":
-        return cls(tuple(tuple(int(c) for c in row) for row in data))
+        try:
+            return cls(tuple(map(tuple, data)))
+        except TypeError:
+            raise ValueError("malformed lattice JSON: expected [[v11, v12], [v21, v22]]") from None
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,10 @@ class Shape:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "Shape":
-        return cls(frozenset(tuple(int(c) for c in p) for p in data))
+        try:
+            return cls(frozenset(map(tuple, data)))
+        except TypeError:
+            raise ValueError("malformed shape JSON: expected a list of [x, y] cells") from None
 
 
 def fundamental_shape(lattice: Lattice) -> Shape:

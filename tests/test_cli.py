@@ -1,17 +1,28 @@
 """End-to-end command line checks, run through subprocess."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import sidon2d
+
 CLI = [sys.executable, "-m", "sidon2d"]
+# The children run the package these tests import, whether it is
+# installed or only on pytest's path.
+PACKAGE_ROOT = str(Path(sidon2d.__file__).resolve().parents[1])
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])),
+}
 
 
 def run_cli(*args, stdin: str | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
-        CLI + list(args), input=stdin, capture_output=True, text=True
+        CLI + list(args), input=stdin, capture_output=True, text=True, env=ENV
     )
 
 
@@ -271,6 +282,7 @@ def test_malformed_json_is_a_clean_error():
         ("sidon", '{"modulus":6,"elements":5}'),
         ("sidon", '{"modulus":6,"elements":[[1,2]]}'),
         ("periodic-ddc", '{"lattice":[[2,0],[0,2]],"shape":5,"dots":[]}'),
+        ("periodic-ddc", '{"lattice":[2,0],"shape":[[0,0]],"dots":[]}'),
         ("ddc", '{"dots":5}'),
     ],
 )
@@ -280,6 +292,24 @@ def test_wrongly_nested_json_is_a_clean_error(kind, text):
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: malformed")
     assert len(proc.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("shape", ["5", "[1,2]"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["directions", "--lattice", "2,1;0,4"],
+        ["search", "--max-ddc", "--lattice", "2,1;0,4"],
+        ["fold", "--lattice", "2,1;0,4", "--direction", "1,1"],
+    ],
+)
+def test_wrongly_nested_shape_is_a_clean_error(command, shape):
+    proc = run_cli(*command, "--shape", shape, stdin='{"modulus": 8, "elements": [1, 6, 7]}')
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: malformed shape")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_input_file_is_a_clean_error():

@@ -1,6 +1,7 @@
 """Folded rows, the closed-form folding test, and fold/unfold transport."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from sidon2d import (
     fold,
     folded_row,
     folding_directions,
+    fundamental_shape,
     unfold,
 )
 from sidon2d import folding
@@ -53,6 +55,17 @@ def test_zero_direction_is_rejected():
         folded_row(WELCH7, (0, 0))
     with pytest.raises(ValueError):
         defines_folding_gcd(WELCH7.lattice, 42, (0, 0))
+
+
+@pytest.mark.parametrize("bad", [(1.9, 1), (True, 1), (1, False), (1, 2, 3), (1,), 5, "11", None])
+def test_a_direction_is_exactly_two_integers(bad):
+    with pytest.raises(ValueError, match="pair of integers"):
+        folded_row(WELCH7, bad)
+    with pytest.raises(ValueError, match="pair of integers"):
+        defines_folding_gcd(WELCH7.lattice, 42, bad)
+    with pytest.raises(ValueError, match="pair of integers"):
+        fold(list(range(42)), WELCH7, bad)
+    assert folded_row(WELCH7, [1, 1]) == folded_row(WELCH7, (1, 1))  # any two-int sequence
 
 
 # -- the closed-form test --------------------------------------------------------
@@ -121,6 +134,51 @@ def test_directions_are_coset_distinct():
     assert dirs == [(0, 1), (0, 2)]
     keys = {TROMINO.key(d) for d in dirs}
     assert len(keys) == len(dirs)
+
+
+def walk_directions(tiling: Tiling) -> list:
+    """Reference enumeration: scan [0, |S|)^2 in order and walk the first
+    point of each new coset."""
+    n = tiling.size
+    if n == 1:
+        return [(0, 1)]
+    out = []
+    seen = set()
+    for d in itertools.product(range(n), repeat=2):
+        if d == (0, 0):
+            continue
+        key = tiling.key(d)
+        if key in seen:
+            continue
+        seen.add(key)
+        if defines_folding(tiling, d):
+            out.append(d)
+    return out
+
+
+def shifted_transversal(lattice: Lattice, rng: random.Random) -> Shape:
+    """The fundamental cells, each but the origin moved by a random lattice vector."""
+    (v11, v12), (v21, v22) = lattice.rows
+    cells = {(0, 0)}
+    for x, y in sorted(fundamental_shape(lattice).points - {(0, 0)}):
+        k1, k2 = rng.randint(-2, 2), rng.randint(-2, 2)
+        cells.add((x + k1 * v11 + k2 * v21, y + k1 * v12 + k2 * v22))
+    return Shape(frozenset(cells))
+
+
+def test_directions_equal_the_walk_scan_on_every_small_lattice():
+    rng = random.Random(2011)
+    lattices = 0
+    for a, b, c, d in itertools.product(range(-4, 5), repeat=4):
+        if a * d - b * c == 0:
+            continue
+        lattice = Lattice(((a, b), (c, d)))
+        lattices += 1
+        for shape in (fundamental_shape(lattice), shifted_transversal(lattice, rng)):
+            tiling = Tiling(lattice, shape)
+            assert folding_directions(tiling) == walk_directions(tiling), (lattice.rows, shape)
+    assert lattices == 6016
+    assert folding_directions(TROMINO) == walk_directions(TROMINO)
 
 
 def test_a_wrong_direction_count_is_an_error(monkeypatch):
