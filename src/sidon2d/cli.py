@@ -53,24 +53,15 @@ WITNESSES = {
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers; their count is checked where they are used."""
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse {what} {text!r}: expected comma-separated integers")
-
-
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = _parse_ints(text, what)
-    if len(parts) != 2:
-        raise ValueError(f"{what} needs exactly two components, got {text!r}")
-    return parts
+        raise ValueError(f"malformed {what}: expected comma-separated integers, got {text!r}")
 
 
 def _parse_lattice(text: str) -> Lattice:
-    rows = text.split(";")
-    if len(rows) != 2:
-        raise ValueError(f"cannot parse lattice {text!r}: expected 'v11,v12;v21,v22'")
-    return Lattice((_parse_pair(rows[0], "lattice row"), _parse_pair(rows[1], "lattice row")))
+    return Lattice([_parse_ints(row, "lattice row") for row in text.split(";")])
 
 
 def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
@@ -81,7 +72,7 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
         try:
             width, height = int(w), int(h)
         except ValueError:
-            raise ValueError(f"cannot parse shape {text!r}: expected 'WxH' or a JSON point list")
+            raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
         return Shape.rectangle(width, height)
     return Shape.from_json(json.loads(text))
 
@@ -165,13 +156,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rank = seq.group.rank
         collision = (verify_sidon if args.kind == "sidon" else verify_weak_sidon)(seq)
     elif args.kind == "ddc":
-        try:
-            dots = [(int(x), int(y)) for x, y in data["dots"]]
-        except KeyError:
-            raise ValueError("ddc JSON needs a 'dots' key") from None
-        except TypeError as exc:
-            raise ValueError(f"malformed ddc JSON: {exc}") from None
-        collision = is_ddc(dots)
+        if "dots" not in data:
+            raise ValueError("ddc JSON needs a 'dots' key")
+        collision = is_ddc(data["dots"])
     else:
         collision = is_doubly_periodic_ddc(pattern_from_json(data))
     if collision is None:
@@ -194,7 +181,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
     seq = sequence_from_json(_read_json(args.input))
     lattice = _parse_lattice(args.lattice)
     shape = _parse_shape(args.shape, lattice)
-    direction = _parse_pair(args.direction, "direction")
+    direction = _parse_ints(args.direction, "direction")
     pattern = fold_sidon_to_ddc(seq, lattice, shape, direction)
     _emit(pattern_to_json(pattern))
     return 0
@@ -202,8 +189,8 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
     pattern = pattern_from_json(_read_json(args.input))
-    direction = _parse_pair(args.direction, "direction")
-    anchor = None if args.anchor == "lower-left" else _parse_pair(args.anchor, "anchor")
+    direction = _parse_ints(args.direction, "direction")
+    anchor = None if args.anchor == "lower-left" else _parse_ints(args.anchor, "anchor")
     seq = unfold_to_sidon(pattern, direction, anchor)
     _emit(sequence_to_json(seq))
     return 0
@@ -212,11 +199,10 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
 def _cmd_directions(args: argparse.Namespace) -> int:
     if args.lattice is not None:
         lattice = _parse_lattice(args.lattice)
-        shape = _parse_shape(args.shape, lattice)
+        tiling = Tiling(lattice, _parse_shape(args.shape, lattice))
     else:
-        pattern = pattern_from_json(_read_json(args.input))
-        lattice, shape = pattern.lattice, pattern.shape
-    dirs = folding_directions(Tiling(lattice, shape))
+        tiling = pattern_from_json(_read_json(args.input)).tiling
+    dirs = folding_directions(tiling)
     _emit({"count": len(dirs), "directions": [list(d) for d in dirs]})
     return 0
 
@@ -235,7 +221,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.lattice is None:
         raise ValueError("--max-ddc requires --lattice")
     lattice = _parse_lattice(args.lattice)
-    shape = _parse_shape(args.shape, lattice)
+    # the default shape is left to the search, which checks its cap first
+    shape = None if args.shape is None else _parse_shape(args.shape, lattice)
     size, witness = max_ddc_dots(lattice, shape)
     _emit({"max": size, "witness": [list(d) for d in witness]})
     return 0

@@ -23,8 +23,8 @@ from .groups import (
     sidon_upper_bound,
     verify_sidon,
 )
-from .lattices import Lattice, Point, Shape, Tiling
-from .numtheory import is_prime, prime_power
+from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
+from .numtheory import as_ints, is_prime, prime_power
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class SegmentCollision:
 
 def is_ddc(dots: Iterable[Point]) -> SegmentCollision | None:
     """First repeated difference vector among distinct dots, if any."""
-    pts = sorted({(int(x), int(y)) for x, y in dots})
+    pts = sorted(set(as_ints(dots, "dots", None, 2)))
     hit = first_collision(
         ((a[0] - b[0], a[1] - b[1]), (a, b)) for a in pts for b in pts if a != b
     )
@@ -61,7 +61,7 @@ class PeriodicDdc:
 
     def __post_init__(self) -> None:
         tiling = Tiling(self.lattice, self.shape)  # raises unless it tiles
-        dots = frozenset((int(x), int(y)) for x, y in self.dots)
+        dots = frozenset(as_ints(self.dots, "dots", None, 2))
         outside = dots - self.shape.points
         if outside:
             raise ValueError(f"dots outside the shape: {sorted(outside)}")
@@ -100,13 +100,12 @@ def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, SegmentCollision]
     the modular check always passes this one; the converse is weaker
     (a window can miss a collision that straddles copies).
     """
-    tiling = pattern.tiling
-    dot_keys = frozenset(tiling.key(d) for d in pattern.dots)
+    representative = pattern.tiling.representative
     for t in sorted(pattern.shape.points):
         window = [
             (x + t[0], y + t[1])
             for x, y in pattern.shape.points
-            if tiling.key((x + t[0], y + t[1])) in dot_keys
+            if representative((x + t[0], y + t[1])) in pattern.dots
         ]
         collision = is_ddc(window)
         if collision is not None:
@@ -166,7 +165,7 @@ def unfold_to_sidon(
     """
     if anchor is None:
         anchor = lower_left_dot(pattern)
-    elif anchor not in pattern.dots:
+    elif as_ints(anchor, "anchor", 2) not in pattern.dots:
         raise ValueError(f"anchor {anchor} is not a dot")
     tiling = pattern.tiling
     ax, ay = anchor
@@ -196,17 +195,21 @@ DEFAULT_DDC_SEARCH_CAP = 49
 
 
 def max_ddc_dots(
-    lattice: Lattice, shape: Shape, cap: int = DEFAULT_DDC_SEARCH_CAP
+    lattice: Lattice, shape: Shape | None = None, cap: int = DEFAULT_DDC_SEARCH_CAP
 ) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum dot count of a doubly periodic DDC on the tiling.
 
     Backtracking over shape cells with differences tracked as cosets;
     anchored at the origin cell (translation moves any pattern onto it).
-    Returns the count and the lexicographically smallest witness.
+    The shape defaults to the fundamental one, built only once the
+    volume has passed the cap.  Returns the count and the
+    lexicographically smallest witness.
     """
+    if lattice.volume > cap:
+        raise ValueError(f"volume {lattice.volume} exceeds the search cap {cap}")
+    if shape is None:
+        shape = fundamental_shape(lattice)
     tiling = Tiling(lattice, shape)
-    if tiling.size > cap:
-        raise ValueError(f"volume {tiling.size} exceeds the search cap {cap}")
     candidates = sorted(shape.points)
     candidates.remove((0, 0))
     key = lattice.coset_key
@@ -246,11 +249,7 @@ def pattern_to_json(pattern: PeriodicDdc) -> dict:
 
 def pattern_from_json(data: dict) -> PeriodicDdc:
     try:
-        lattice = Lattice.from_json(data["lattice"])
-        shape = Shape.from_json(data["shape"])
-        dots = frozenset(tuple(int(c) for c in d) for d in data["dots"])
+        lattice, shape, dots = data["lattice"], data["shape"], data["dots"]
     except KeyError as missing:
         raise ValueError(f"pattern JSON is missing the {missing} key") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed pattern JSON: {exc}") from None
-    return PeriodicDdc(lattice, shape, dots)
+    return PeriodicDdc(Lattice.from_json(lattice), Shape.from_json(shape), dots)

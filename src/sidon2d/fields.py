@@ -28,7 +28,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .numtheory import factorize, is_prime, modinv, xgcd
+from .numtheory import as_ints, factorize, is_prime, modinv, xgcd
 
 # Table construction is O(q); keep q sane.  Every admitted order builds in
 # under 1 s on a 2-vCPU Xeon VM with CPython 3.11: the slowest are GF(1021^2)
@@ -203,9 +203,7 @@ class Field:
         if modulus is None:
             modulus = self._canonical_modulus(p, k)
         else:
-            modulus = tuple(int(c) % p for c in modulus)
-            if len(modulus) != k:
-                raise ValueError(f"modulus needs {k} coefficients, got {len(modulus)}")
+            modulus = tuple(c % p for c in as_ints(modulus, "field modulus", k))
             if not _is_irreducible(modulus, p, k):
                 raise ValueError(f"reducing polynomial {modulus} is not irreducible over GF({p})")
         self.modulus: tuple[int, ...] = tuple(modulus)
@@ -234,7 +232,7 @@ class Field:
     # -- element plumbing ---------------------------------------------------
 
     def _check(self, x: int) -> int:
-        if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < self.order:
+        if not 0 <= as_ints(x, "field element") < self.order:
             raise ValueError(f"{x!r} is not an element of GF({self.order})")
         return x
 
@@ -251,9 +249,7 @@ class Field:
         return tuple(out)
 
     def from_coeffs(self, coeffs: Iterable[int]) -> int:
-        cs = list(coeffs)
-        if len(cs) != self.k:
-            raise ValueError(f"expected {self.k} coefficients, got {len(cs)}")
+        cs = as_ints(coeffs, "coefficients", self.k)
         if any(not 0 <= c < self.p for c in cs):
             raise ValueError(f"coefficients out of range for GF({self.p}): {cs}")
         return sum(c * self.p**i for i, c in enumerate(cs))

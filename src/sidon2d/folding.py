@@ -16,19 +16,16 @@ import math
 from typing import Hashable, Mapping, Sequence
 
 from .lattices import Lattice, Point, Tiling
-from .numtheory import euler_phi
+from .numtheory import as_ints, euler_phi
 
 Direction = tuple[int, int]
 
 
 def _check_direction(direction: Direction) -> Direction:
-    try:
-        d1, d2 = direction
-    except (TypeError, ValueError):
-        d1 = d2 = None  # not a pair
-    if type(d1) is not int or type(d2) is not int or d1 == d2 == 0:  # bools fail too
+    d = as_ints(direction, "direction", 2)
+    if d == (0, 0):
         raise ValueError(f"direction must be a nonzero pair of integers, got {direction!r}")
-    return d1, d2
+    return d
 
 
 def folded_row(tiling: Tiling, direction: Direction) -> tuple[list[Point], bool]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, product
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .numtheory import modinv
+from .numtheory import as_ints, modinv
 
 Element = tuple[int, ...]
 
@@ -26,7 +26,7 @@ class GroupSpec:
     moduli: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", tuple(int(m) for m in self.moduli))
+        object.__setattr__(self, "moduli", as_ints(self.moduli, "group moduli", None))
         if not self.moduli:
             raise ValueError("a group needs at least one cyclic factor")
         if any(m < 1 for m in self.moduli):
@@ -44,9 +44,7 @@ class GroupSpec:
         return (0,) * len(self.moduli)
 
     def normalize(self, el: Iterable[int]) -> Element:
-        t = tuple(int(c) for c in el)
-        if len(t) != len(self.moduli):
-            raise ValueError(f"element {t} has {len(t)} components, group has {len(self.moduli)}")
+        t = as_ints(el, "group element", len(self.moduli))
         return tuple(c % m for c, m in zip(t, self.moduli))
 
     def add(self, a: Element, b: Element) -> Element:
@@ -71,18 +69,17 @@ class SidonSequence:
 
     def __init__(self, group: GroupSpec, elements: Iterable[Iterable[int]]):
         self.group = group
+        elements = as_ints(elements, "sequence elements", None, group.rank)
         normalized = [group.normalize(e) for e in elements]
-        seen: set[Element] = set()
-        for e in normalized:
-            if e in seen:
-                raise ValueError(f"duplicate element {e}")
-            seen.add(e)
+        repeat = first_collision((e, None) for e in normalized)
+        if repeat:
+            raise ValueError(f"duplicate element {repeat[0]}")
         self.elements: tuple[Element, ...] = tuple(sorted(normalized))
-        self._members = seen
+        self._members = set(normalized)
 
     @classmethod
     def from_ints(cls, modulus: int, values: Iterable[int]) -> "SidonSequence":
-        return cls(GroupSpec((modulus,)), [(v,) for v in values])
+        return cls(GroupSpec((modulus,)), [(v,) for v in as_ints(values, "sequence elements", None)])
 
     def as_ints(self) -> list[int]:
         if self.group.rank != 1:
@@ -304,12 +301,9 @@ def sequence_to_json(seq: SidonSequence) -> dict:
 def sequence_from_json(data: dict) -> SidonSequence:
     try:
         if "modulus" in data:
-            return SidonSequence.from_ints(int(data["modulus"]), data["elements"])
+            return SidonSequence.from_ints(data["modulus"], data["elements"])
         if "moduli" in data:
-            group = GroupSpec(tuple(int(m) for m in data["moduli"]))
-            return SidonSequence(group, data["elements"])
+            return SidonSequence(GroupSpec(data["moduli"]), data["elements"])
     except KeyError as missing:
         raise ValueError(f"sequence JSON is missing the {missing} key") from None
-    except TypeError as exc:
-        raise ValueError(f"malformed sequence JSON: {exc}") from None
     raise ValueError("sequence JSON needs a 'modulus' or 'moduli' key")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .numtheory import xgcd
+from .numtheory import as_ints, xgcd
 
 Point = tuple[int, int]
 
@@ -51,9 +51,7 @@ class Lattice:
     hnf: tuple[Point, Point] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(c) for c in row) for row in self.rows)
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise ValueError(f"expected a 2x2 integer matrix, got {self.rows!r}")
+        rows = as_ints(self.rows, "lattice", 2, 2)
         (v11, v12), (v21, v22) = rows
         if v11 * v22 - v12 * v21 == 0:
             raise ValueError(f"basis rows {rows} are linearly dependent")
@@ -80,10 +78,7 @@ class Lattice:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "Lattice":
-        try:
-            return cls(tuple(map(tuple, data)))
-        except TypeError:
-            raise ValueError("malformed lattice JSON: expected [[v11, v12], [v21, v22]]") from None
+        return cls(data)
 
 
 @dataclass(frozen=True)
@@ -93,7 +88,7 @@ class Shape:
     points: frozenset[Point]
 
     def __post_init__(self) -> None:
-        pts = frozenset((int(x), int(y)) for x, y in self.points)
+        pts = frozenset(as_ints(self.points, "shape", None, 2))
         if (0, 0) not in pts:
             raise ValueError("a shape must contain the origin")
         object.__setattr__(self, "points", pts)
@@ -119,10 +114,7 @@ class Shape:
 
     @classmethod
     def from_json(cls, data: Iterable[Iterable[int]]) -> "Shape":
-        try:
-            return cls(frozenset(map(tuple, data)))
-        except TypeError:
-            raise ValueError("malformed shape JSON: expected a list of [x, y] cells") from None
+        return cls(data)
 
 
 def fundamental_shape(lattice: Lattice) -> Shape:
@@ -135,14 +127,6 @@ def fundamental_shape(lattice: Lattice) -> Shape:
     return Shape.rectangle(h11, h22)
 
 
-def is_lattice_tiling(lattice: Lattice, shape: Shape) -> bool:
-    """Whether the shape is a complete set of coset representatives."""
-    if shape.size != lattice.volume:
-        return False
-    keys = {lattice.coset_key(p) for p in shape.points}
-    return len(keys) == shape.size
-
-
 class Tiling:
     """A validated (lattice, shape) tiling pair with point reduction.
 
@@ -152,23 +136,20 @@ class Tiling:
     """
 
     def __init__(self, lattice: Lattice, shape: Shape):
-        if not is_lattice_tiling(lattice, shape):
+        key = lattice.coset_key
+        self.representatives: dict[Point, Point] = {key(p): p for p in shape.points}
+        # a transversal: one cell per coset, and as many cells as cosets
+        if not len(self.representatives) == shape.size == lattice.volume:
             raise ValueError(
                 f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
                 f" (volume {lattice.volume})"
             )
         self.lattice = lattice
         self.shape = shape
-        self.representatives: dict[Point, Point] = {
-            lattice.coset_key(p): p for p in shape.points
-        }
 
     @property
     def size(self) -> int:
         return self.shape.size
-
-    def key(self, point: Point) -> Point:
-        return self.lattice.coset_key(point)
 
     def representative(self, point: Point) -> Point:
         """The cell of the shape congruent to the point."""
@@ -195,18 +176,17 @@ def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Per
     lattice contains the input lattice, so its volume divides the input
     volume; it also divides the volume of any pair of symmetry vectors.
     """
-    tiling = Tiling(lattice, shape)
-    dot_list = [(int(x), int(y)) for x, y in dots]
-    for p in dot_list:
-        if p not in shape.points:
-            raise ValueError(f"dot {p} lies outside the shape")
-    dot_keys = frozenset(tiling.key(p) for p in dot_list)
+    representative = Tiling(lattice, shape).representative
+    dot_list = as_ints(dots, "dots", None, 2)
+    dot_set = frozenset(dot_list)
+    if not dot_set <= shape.points:
+        raise ValueError(f"dots outside the shape: {sorted(dot_set - shape.points)}")
     # The shape is a transversal, so its cells enumerate every candidate
     # translation class exactly once.  Translating by t permutes cosets,
-    # hence containment of the shifted key set implies equality.
+    # hence containment of the shifted dot set implies equality.
     symmetries = []
     for tx, ty in shape.points:
-        if all(tiling.key((x + tx, y + ty)) in dot_keys for x, y in dot_list):
+        if all(representative((x + tx, y + ty)) in dot_set for x, y in dot_list):
             symmetries.append((tx, ty))
     rows = list(lattice.rows) + symmetries
     return PeriodPair(_hnf_rows(rows))

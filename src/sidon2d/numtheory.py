@@ -2,7 +2,53 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+import reprlib
+from itertools import chain
+from typing import Any, Iterator
+
+_INT = frozenset([int])
+
+
+def as_ints(value: Any, what: str, *lengths: int | None) -> Any:
+    """Read outside data as exact ints, converting nothing.
+
+    With no lengths the value itself must be an int.  Each length asks
+    for one level of nesting: an iterable of that many items (None: any
+    number), returned as a tuple.  Bools, floats, numeric strings, wrong
+    nesting and wrong lengths raise ValueError("malformed <what>: ...")
+    quoting the offending level.  This is the package's one reader of
+    integers from JSON, argv and library arguments.
+    """
+    if lengths:
+        try:
+            items = tuple(value)
+        except TypeError:
+            pass  # not iterable
+        else:
+            n = lengths[0]
+            if n is None or n == len(items):
+                if len(lengths) == 1:
+                    for c in items:
+                        if type(c) is not int:  # bools fail: their type is bool
+                            break
+                    else:
+                        return items
+                else:
+                    try:  # rows of ints: converted and checked in bulk
+                        rows = tuple(map(tuple, items))
+                    except TypeError:
+                        rows = None
+                    m = lengths[1]
+                    if rows is not None and (m is None or {*map(len, rows)} <= {m}):
+                        if _INT.issuperset(map(type, chain.from_iterable(rows))):
+                            return rows
+                    # one item at a time, which raises naming the first bad one
+                    return tuple([as_ints(v, what, *lengths[1:]) for v in items])
+    elif type(value) is int:
+        return value
+    words = ["pairs of" if n == 2 else "lists of" if n is None else f"lists of {n}" for n in lengths]
+    expected = " ".join(["a", *words, "integers"]).replace("s of", " of", 1) if lengths else "an integer"
+    raise ValueError(f"malformed {what}: expected {expected}, got {reprlib.repr(value)}")
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

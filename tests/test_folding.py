@@ -132,7 +132,7 @@ def test_direction_count_is_a_totient():
 def test_directions_are_coset_distinct():
     dirs = folding_directions(TROMINO)
     assert dirs == [(0, 1), (0, 2)]
-    keys = {TROMINO.key(d) for d in dirs}
+    keys = {TROMINO.lattice.coset_key(d) for d in dirs}
     assert len(keys) == len(dirs)
 
 
@@ -147,7 +147,7 @@ def walk_directions(tiling: Tiling) -> list:
     for d in itertools.product(range(n), repeat=2):
         if d == (0, 0):
             continue
-        key = tiling.key(d)
+        key = tiling.lattice.coset_key(d)
         if key in seen:
             continue
         seen.add(key)

@@ -1,0 +1,250 @@
+"""The input boundary: outside values are exact integers or a clean error.
+
+Every number the package reads from JSON, argv or a library argument
+goes through `numtheory.as_ints`, which never converts: bools, floats,
+numeric strings and wrong nesting are rejected, not truncated.  The CLI
+turns that rejection into exit 1 and one `error:` line.  The property
+test drives `cli.main` in-process with arbitrary and near-valid JSON.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sidon2d import (
+    Field,
+    GroupSpec,
+    Lattice,
+    PeriodicDdc,
+    Shape,
+    SidonSequence,
+    Tiling,
+    cli,
+    construct_welch,
+    defines_folding_gcd,
+    fold,
+    folded_row,
+    fundamental_shape,
+    is_ddc,
+    minimal_period,
+    unfold_to_sidon,
+)
+from sidon2d.numtheory import as_ints
+
+WELCH7 = Tiling(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7))
+
+
+def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# -- the reader ----------------------------------------------------------------
+
+
+def test_as_ints_returns_tuples_of_the_same_ints():
+    assert as_ints(5, "n") == 5
+    assert as_ints([1, -2], "pair", 2) == (1, -2)
+    assert as_ints(range(3), "list", None) == (0, 1, 2)
+    assert as_ints([[0, 0], (1, 2)], "cells", None, 2) == ((0, 0), (1, 2))
+    assert as_ints(frozenset({(0, 1)}), "cells", None, 2) == ((0, 1),)
+    assert as_ints([], "cells", None, 2) == ()
+    assert as_ints([[1], [2, 3]], "rows", None, None) == ((1,), (2, 3))
+
+
+@pytest.mark.parametrize(
+    "value,lengths,message",
+    [
+        (True, (), "expected an integer, got True"),
+        (1.0, (), "expected an integer, got 1.0"),
+        ("6", (), "expected an integer, got '6'"),
+        ((1.9, 1), (2,), "expected a pair of integers, got (1.9, 1)"),
+        ([1, 2, 3], (2,), "expected a pair of integers"),
+        (5, (2,), "expected a pair of integers, got 5"),
+        ("11", (2,), "expected a pair of integers"),
+        ([0, None], (None,), "expected a list of integers"),
+        ([1, 2], (3,), "expected a list of 3 integers"),
+        ([[0, 0], [1.5, True]], (None, 2), "expected a pair of integers, got [1.5, True]"),
+        ([[0, 0], 5], (None, 2), "expected a pair of integers, got 5"),
+        (5, (None, 2), "expected a list of pairs of integers, got 5"),
+        ([[2, 0], [0, 2.5]], (2, 2), "expected a pair of integers, got [0, 2.5]"),
+        ([[2, 0]], (2, 2), "expected a pair of pairs of integers"),
+    ],
+)
+def test_as_ints_rejects_and_names_the_bad_level(value, lengths, message):
+    with pytest.raises(ValueError, match="^malformed thing: ") as caught:
+        as_ints(value, "thing", *lengths)
+    assert message in str(caught.value)
+
+
+# -- every library entry point ----------------------------------------------------
+
+
+BAD_NUMBERS = [1.0, 1.7, True, False, "1", None]
+
+
+@pytest.mark.parametrize("bad", BAD_NUMBERS, ids=repr)
+def test_library_inputs_reject_non_integers(bad):
+    cases = [
+        lambda: Lattice(((2, 0), (0, bad))),
+        lambda: Shape(frozenset({(0, 0), (bad, 1)})),
+        lambda: PeriodicDdc(Lattice(((2, 0), (0, 1))), Shape.rectangle(2, 1), [(0, 0), (bad, 0)]),
+        lambda: GroupSpec((bad, 3)),
+        lambda: GroupSpec((5,)).normalize((bad,)),
+        lambda: SidonSequence(GroupSpec((7,)), [(0,), (bad,)]),
+        lambda: SidonSequence.from_ints(7, [0, bad]),
+        lambda: SidonSequence.from_ints(bad, [0]),
+        lambda: Field(2, 2, modulus=(1, bad)),
+        lambda: Field(3).add(1, bad),
+        lambda: Field(3, 2).from_coeffs((1, bad)),
+        lambda: is_ddc([(0, 0), (bad, 2)]),
+        lambda: minimal_period(WELCH7.lattice, WELCH7.shape, [(bad, 0)]),
+        lambda: folded_row(WELCH7, (bad, 1)),
+        lambda: defines_folding_gcd(WELCH7.lattice, 42, (1, bad)),
+        lambda: fold(list(range(42)), WELCH7, (bad, 1)),
+        lambda: unfold_to_sidon(construct_welch(7, 3), (1, 1), anchor=(0, bad)),
+    ]
+    for case in cases:
+        with pytest.raises(ValueError, match="malformed"):
+            case()
+
+
+def test_valid_values_are_reduced_not_rejected():
+    assert GroupSpec((6,)).normalize((-1,)) == (5,)
+    assert SidonSequence.from_ints(6, [7, 3]).as_ints() == [1, 3]
+    assert Field(2, 2, modulus=(3, 1)).modulus == (1, 1)
+    assert Lattice([[2, 1], [0, 4]]).rows == ((2, 1), (0, 4))
+    assert fundamental_shape(Lattice([[2, 1], [0, 4]])).size == 8
+
+
+# -- the command line --------------------------------------------------------------
+
+
+REPROS = [
+    (
+        ["search", "--max-ddc", "--lattice", "2,1;0,4",
+         "--shape", "[[0,0],[0,1],[0,2],[0,3],[1.7,0],[1,1],[1,2],[true,3]]"],
+        "",
+    ),
+    (
+        ["verify", "--kind", "periodic-ddc"],
+        '{"lattice":[[2,0],[0,2.5]],"shape":[[0,0],[0,1],[1,0],[1,1]],"dots":[[0,0],[1,0]]}',
+    ),
+    (["verify", "--kind", "sidon"], '{"moduli":[2.9,3],"elements":[[0,0],[1,1]]}'),
+    (["verify", "--kind", "ddc"], '{"dots":[[0,0],[1.5,true]]}'),
+    (["verify", "--kind", "sidon"], '{"modulus":"6","elements":[0,1,3]}'),
+    (["verify", "--kind", "sidon"], '{"modulus":6,"elements":[0,1.9,true]}'),
+    (["unfold", "--direction", "1,1"], '{"lattice":[[2,0],[0,3]],"shape":[[0,0],[0,1],'
+     '[0,2],[1,0],[1,1],[1,2]],"dots":[[0,1.0],[1,2]]}'),
+]
+
+
+@pytest.mark.parametrize("argv,stdin", REPROS)
+def test_reinterpreted_inputs_are_clean_errors(argv, stdin):
+    code, out, err = run_main(argv, stdin)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed")
+    assert len(err.splitlines()) == 1
+
+
+SEQUENCES = [
+    {"modulus": 7, "elements": [0, 1, 3]},
+    {"modulus": 6, "elements": [0, 1, 3]},  # not Sidon: exit 2
+    {"moduli": [2, 3], "elements": [[0, 0], [1, 1]]},
+]
+PATTERNS = [
+    {
+        "lattice": [[2, 0], [0, 3]],
+        "shape": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [1, 2]],
+        "dots": [[0, 1], [1, 2]],
+    },
+    {
+        "lattice": [[3, 0], [0, 3]],
+        "shape": [[x, y] for x in range(3) for y in range(3)],
+        "dots": [[1, 2], [2, 1]],
+    },
+]
+# each command with the valid inputs its near-valid inputs start from
+COMMANDS = [
+    (["verify", "--kind", "sidon"], SEQUENCES),
+    (["verify", "--kind", "weak-sidon"], SEQUENCES),
+    (["verify", "--kind", "ddc"], [{"dots": [[0, 0], [1, 0], [0, 2]]}, {"dots": [[0, 0], [1, 0], [2, 0]]}]),
+    (["verify", "--kind", "periodic-ddc"], PATTERNS),
+    (["unfold", "--direction", "1,1"], PATTERNS),
+    (["directions"], PATTERNS),
+    (["render"], PATTERNS),
+]
+KEYS = ["modulus", "moduli", "elements", "lattice", "shape", "dots"]
+
+leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from(["1", "2.5", "-3", "x", ""])
+)
+json_values = st.recursive(
+    leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.sampled_from(KEYS), kids, max_size=4),
+    max_leaves=16,
+)
+
+
+def paths(obj, prefix=()):
+    yield prefix
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, child in items:
+        yield from paths(child, prefix + (key,))
+
+
+def replaced(obj, path, new):
+    if not path:
+        return new
+    copy = dict(obj) if isinstance(obj, dict) else list(obj)
+    copy[path[0]] = replaced(obj[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def command_inputs(draw):
+    """A command with arbitrary JSON, or with one of its valid inputs
+    with up to two values swapped out, often for another small integer
+    so that some inputs stay valid."""
+    argv, templates = draw(st.sampled_from(COMMANDS))
+    if draw(st.integers(0, 3)) == 0:
+        return argv, draw(st.dictionaries(st.sampled_from(KEYS), json_values, max_size=4) | json_values)
+    data = draw(st.sampled_from(templates))
+    for _ in range(draw(st.integers(0, 2))):
+        path = draw(st.sampled_from(list(paths(data))[1:]))
+        data = replaced(data, path, draw(st.integers(-3, 8) | json_values))
+    return argv, data
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_inputs())
+def test_any_json_input_exits_cleanly(case):
+    argv, data = case
+    code, out, err = run_main(argv, json.dumps(data))
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.splitlines()) == 1
+    elif argv[0] == "render":
+        assert code == 0 and out.endswith("\n")
+    else:
+        assert err == ""
+        lines = out.splitlines()
+        assert len(lines) == 1
+        json.loads(lines[0])

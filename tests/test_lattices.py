@@ -10,7 +10,6 @@ from sidon2d import (
     Shape,
     Tiling,
     fundamental_shape,
-    is_lattice_tiling,
     minimal_period,
 )
 
@@ -127,12 +126,14 @@ def test_fundamental_shape_is_the_triangular_rectangle():
 
 
 def test_tromino_tiles_with_one_lattice_but_not_another():
-    assert is_lattice_tiling(Lattice(((1, 1), (-1, 2))), TROMINO)
-    assert not is_lattice_tiling(Lattice(((2, 1), (1, 2))), TROMINO)
+    assert Tiling(Lattice(((1, 1), (-1, 2))), TROMINO).size == 3
+    with pytest.raises(ValueError):
+        Tiling(Lattice(((2, 1), (1, 2))), TROMINO)  # right volume, two cells share a coset
 
 
 def test_tiling_requires_matching_size():
-    assert not is_lattice_tiling(WELCH7, TROMINO)
+    with pytest.raises(ValueError):
+        Tiling(WELCH7, TROMINO)
     with pytest.raises(ValueError):
         Tiling(Lattice(((2, 1), (1, 2))), TROMINO)
 
@@ -148,14 +149,14 @@ def test_fundamental_shape_always_tiles():
             continue
         cases += 1
         lat = Lattice(rows)
-        assert is_lattice_tiling(lat, fundamental_shape(lat))
+        assert Tiling(lat, fundamental_shape(lat)).size == lat.volume
 
 
 def test_reduce_frozen_example():
     tiling = Tiling(WELCH7, fundamental_shape(WELCH7))
     assert tiling.representative((7, 8)) == (1, 1)
     assert (6, 7) in WELCH7  # the center of the copy (7, 8) falls in
-    assert tiling.key((7, 8)) == (1, 1)
+    assert WELCH7.coset_key((7, 8)) == (1, 1)
 
 
 def test_reduce_invariants():

@@ -4,6 +4,10 @@
   the code relies on at runtime is an explicit check that raises.
 - No module imports a private name (one starting with `_`) from another
   sidon2d module: anything shared between modules gets a public name.
+- No `int(...)` call outside `numtheory.py`, home of `as_ints`, and
+  `cli.py`, which parses argv strings: `int()` truncates floats and
+  accepts bools and numeric strings, so outside values are read by
+  `as_ints` alone.
 """
 
 import ast
@@ -14,6 +18,7 @@ import pytest
 import sidon2d
 
 SOURCES = sorted(Path(sidon2d.__file__).parent.glob("*.py"))
+INT_READERS = {"numtheory.py", "cli.py"}
 
 
 def parse(path: Path) -> ast.Module:
@@ -41,3 +46,15 @@ def test_no_private_imports_between_modules(path):
         if alias.name.startswith("_")
     ]
     assert private == [], f"{path.name} imports private names: {private}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name not in INT_READERS], ids=lambda p: p.name
+)
+def test_no_int_conversions_outside_the_boundary(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
+    ]
+    assert lines == [], f"{path.name} calls int() on lines {lines}; read values with as_ints"
