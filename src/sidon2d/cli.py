@@ -73,6 +73,12 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
             width, height = int(w), int(h)
         except ValueError:
             raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
+        if width > 0 < height and width * height != lattice.volume:
+            # the tiling's own verdict, reached without building W*H cells
+            raise ValueError(
+                f"shape of size {width * height} does not tile with lattice {lattice.rows}"
+                f" (volume {lattice.volume})"
+            )
         return Shape.rectangle(width, height)
     return Shape.from_json(json.loads(text))
 

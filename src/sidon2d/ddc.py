@@ -11,7 +11,6 @@ unfolding into a Sidon sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable
 
 from .fields import make_field
@@ -130,18 +129,23 @@ def construct_golomb(
     q: int, alpha: int | None = None, beta: int | None = None
 ) -> PeriodicDdc:
     """Dots at (i, j) with alpha^i + beta^j = 1, on a (q-1) x (q-1)
-    square replicated by [[q-1, 0], [0, q-1]].  q - 2 dots."""
+    square replicated by [[q-1, 0], [0, q-1]].
+
+    Each 1 <= i <= q-2 has alpha^i != 1, hence the single partner
+    j = log_beta(1 - alpha^i); i = 0 has none.  So q - 2 dots."""
     pp = prime_power(q)
     if pp is None or q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     f = make_field(*pp)
     alpha = f.primitive_or_generator(alpha, "alpha")
     beta = f.primitive_or_generator(beta, "beta")
-    dots = frozenset(
-        (i, j)
-        for i, j in product(range(q - 1), repeat=2)
-        if f.add(f.pow(alpha, i), f.pow(beta, j)) == 1
-    )
+
+    def one_minus(x: int) -> int:
+        # -x with its constant coefficient, the lowest base-p digit of its code, plus one
+        m = f.neg(x)
+        return m - m % f.p + (m + 1) % f.p
+
+    dots = frozenset((i, f.log(one_minus(f.pow(alpha, i)), beta)) for i in range(1, q - 1))
     return PeriodicDdc(
         Lattice(((q - 1, 0), (0, q - 1))), Shape.rectangle(q - 1, q - 1), dots
     )
@@ -178,7 +182,8 @@ def fold_sidon_to_ddc(
     seq: SidonSequence, lattice: Lattice, shape: Shape, direction: Direction
 ) -> PeriodicDdc:
     """Place a Sidon subset of Z_{|S|} onto the shape along the folded row."""
-    tiling = Tiling(lattice, shape)
+    pattern = PeriodicDdc(lattice, shape, frozenset())  # raises unless it tiles
+    tiling = pattern.tiling
     if seq.group.rank != 1 or seq.group.order != tiling.size:
         raise ValueError(
             f"sequence group {seq.group.moduli} does not match shape size {tiling.size}"
@@ -187,8 +192,10 @@ def fold_sidon_to_ddc(
         raise ValueError("sequence is not Sidon")
     members = set(seq.as_ints())
     array = fold([t in members for t in range(tiling.size)], tiling, direction)
-    dots = frozenset(cell for cell, b in array.items() if b)
-    return PeriodicDdc(lattice, shape, dots)
+    # Folded dots are shape cells, and the pattern is not shared yet, so
+    # it takes them as they are instead of building its tiling again.
+    object.__setattr__(pattern, "dots", frozenset(cell for cell, b in array.items() if b))
+    return pattern
 
 
 DEFAULT_DDC_SEARCH_CAP = 49

@@ -1,13 +1,12 @@
 """Folding a one-dimensional sequence onto a tiled shape and back.
 
-Starting at the origin and repeatedly stepping by a fixed direction,
-reducing back into the shape through the lattice whenever the step
-leaves it, visits a trail of cells.  When the trail covers the whole
-shape without repeats, the direction "defines a folding": the trail is
-a bijection between sequence positions 0..|S|-1 and shape cells, and
-fold/unfold transport symbols across it in both directions.  Whether
-a direction folds is decided in closed form by `defines_folding_gcd`;
-the walk-based `defines_folding` is the reference it is tested against.
+A direction d lays sequence position t on the shape cell congruent to
+t*d modulo the lattice.  When those |S| cells are all distinct, the
+direction "defines a folding": the row of cells is a bijection between
+sequence positions 0..|S|-1 and shape cells, and fold/unfold transport
+symbols across it in both directions.  Whether a direction folds is
+decided in closed form by `defines_folding_gcd`; the tests keep the
+step-by-step walk as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -26,34 +25,6 @@ def _check_direction(direction: Direction) -> Direction:
     if d == (0, 0):
         raise ValueError(f"direction must be a nonzero pair of integers, got {direction!r}")
     return d
-
-
-def folded_row(tiling: Tiling, direction: Direction) -> tuple[list[Point], bool]:
-    """Walk |S| steps from the origin, reducing into the shape each time.
-
-    Returns the visited cells in order and whether they are all distinct.
-    The walk satisfies row[t] == reduction of (t*d1, t*d2), so repeats,
-    once they appear, just cycle.
-    """
-    d1, d2 = _check_direction(direction)
-    reduce_ = tiling.representative
-    current = (0, 0)
-    row = [current]
-    for _ in range(tiling.size - 1):
-        current = reduce_((current[0] + d1, current[1] + d2))
-        row.append(current)
-    return row, len(set(row)) == tiling.size
-
-
-def defines_folding(tiling: Tiling, direction: Direction) -> bool:
-    """Whether the folded row visits every cell of the shape exactly once."""
-    row, complete = folded_row(tiling, direction)
-    if complete:
-        d1, d2 = direction
-        last = row[-1]
-        if tiling.representative((last[0] + d1, last[1] + d2)) != (0, 0):
-            raise RuntimeError(f"the complete row of {direction} does not re-enter at the origin")
-    return complete
 
 
 def defines_folding_gcd(lattice: Lattice, size: int, direction: Direction) -> bool:
@@ -93,23 +64,31 @@ def folding_directions(tiling: Tiling) -> list[Direction]:
     return out
 
 
+def _folded_row(tiling: Tiling, direction: Direction) -> list[Point]:
+    """The shape cells congruent to t*d for t = 0..|S|-1; raises unless
+    d folds, which is what makes them all distinct."""
+    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
+        raise ValueError(f"direction {direction} does not define a folding")
+    d1, d2 = direction
+    representative = tiling.representative
+    return [representative((t * d1, t * d2)) for t in range(tiling.size)]
+
+
 def fold(
     seq: Sequence[Hashable], tiling: Tiling, direction: Direction
 ) -> dict[Point, Hashable]:
     """Lay a length-|S| sequence onto the shape along the folded row."""
-    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
-        raise ValueError(f"direction {direction} does not define a folding")
+    row = _folded_row(tiling, direction)
     if len(seq) != tiling.size:
         raise ValueError(f"sequence length {len(seq)} != shape size {tiling.size}")
-    return dict(zip(folded_row(tiling, direction)[0], seq))
+    return dict(zip(row, seq))
 
 
 def unfold(
     array: Mapping[Point, Hashable], tiling: Tiling, direction: Direction
 ) -> list[Hashable]:
     """Read the shape's cells back into a sequence along the folded row."""
-    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
-        raise ValueError(f"direction {direction} does not define a folding")
+    row = _folded_row(tiling, direction)
     if set(array) != tiling.shape.points:
         raise ValueError("array cells do not match the shape")
-    return [array[cell] for cell in folded_row(tiling, direction)[0]]
+    return [array[cell] for cell in row]

@@ -25,7 +25,6 @@ from sidon2d import (
     construct_ruzsa,
     construct_welch,
     crt_flatten,
-    defines_folding,
     defines_folding_gcd,
     fold_sidon_to_ddc,
     folding_directions,
@@ -40,6 +39,8 @@ from sidon2d import (
     verify_sidon_sums,
 )
 from sidon2d.numtheory import euler_phi, prime_power
+
+from folding_oracle import defines_folding
 
 WELCH7 = Lattice(((6, 0), (0, 7)))
 

@@ -1,5 +1,7 @@
-"""End-to-end command line checks, run through subprocess."""
+"""End-to-end command line checks, run through subprocess, and
+in-process where a test counts or forbids library calls."""
 
+import io
 import json
 import os
 import subprocess
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import sidon2d
+from sidon2d import Shape, Tiling, cli
 
 CLI = [sys.executable, "-m", "sidon2d"]
 # The children run the package these tests import, whether it is
@@ -218,6 +221,23 @@ def test_fold_rejects_non_folding_direction():
     assert "does not define a folding" in proc.stderr
 
 
+def test_fold_builds_one_tiling(monkeypatch, capsys):
+    built = []
+    real_init = Tiling.__init__
+
+    def counted_init(self, lattice, shape):
+        built.append(lattice.rows)
+        real_init(self, lattice, shape)
+
+    monkeypatch.setattr(Tiling, "__init__", counted_init)
+    sequence = '{"modulus": 42, "elements": [0, 8, 10, 11, 33, 37]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sequence))
+    assert cli.main(["fold", "--lattice", "6,0;0,7", "--direction", "1,1"]) == 0
+    dots = json.loads(capsys.readouterr().out)["dots"]
+    assert dots == [[0, 0], [1, 2], [2, 1], [3, 5], [4, 3], [5, 4]]  # t at (t mod 6, t mod 7)
+    assert built == [((6, 0), (0, 7))]
+
+
 def test_directions_of_the_welch_lattice():
     proc = run_cli("directions", "--lattice", "6,0;0,7")
     assert out_json(proc) == {
@@ -310,6 +330,35 @@ def test_wrongly_nested_shape_is_a_clean_error(command, shape):
     assert proc.stderr.startswith("error: malformed shape")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["directions"],
+        ["fold", "--direction", "1,1"],
+        ["search", "--max-ddc"],
+    ],
+)
+def test_a_rectangle_of_the_wrong_size_is_refused_before_it_is_built(command, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the rectangle was built")
+
+    monkeypatch.setattr(Shape, "rectangle", refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 2, "elements": [0]}'))
+    assert cli.main([*command, "--lattice", "2,0;0,1", "--shape", "1000x1000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: shape of size 1000000 does not tile with lattice ((2, 0), (0, 1)) (volume 2)\n"
+    )
+
+
+@pytest.mark.parametrize("shape", ["0x2", "-1x-2", "-2x3"])
+def test_rectangle_sides_are_checked_before_the_size(shape):
+    proc = run_cli("directions", "--lattice", "2,0;0,1", f"--shape={shape}")
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: rectangle sides must be positive, got {shape}\n"
 
 
 def test_missing_input_file_is_a_clean_error():

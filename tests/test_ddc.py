@@ -1,6 +1,7 @@
 """Distinct difference configurations, periodic patterns, and transport
 between patterns and Sidon sequences."""
 
+import itertools
 import random
 
 import pytest
@@ -29,7 +30,9 @@ from sidon2d import (
     verify_sidon,
     window_ddc_violation,
 )
+from sidon2d.fields import make_field
 from sidon2d.lattices import Tiling
+from sidon2d.numtheory import prime_power
 
 WELCH7_DOTS = frozenset({(0, 1), (1, 3), (2, 2), (3, 6), (4, 4), (5, 5)})
 
@@ -177,6 +180,34 @@ def test_golomb_with_two_different_primitive_elements():
         construct_golomb(2)
     with pytest.raises(ValueError):
         construct_golomb(6)
+
+
+def golomb_dots_by_search(q, alpha=None, beta=None):
+    """The reference: test every (i, j) for alpha^i + beta^j = 1."""
+    f = make_field(*prime_power(q))
+    alpha = f.primitive_or_generator(alpha, "alpha")
+    beta = f.primitive_or_generator(beta, "beta")
+    return frozenset(
+        (i, j)
+        for i, j in itertools.product(range(q - 1), repeat=2)
+        if f.add(f.pow(alpha, i), f.pow(beta, j)) == 1
+    )
+
+
+GOLOMB_ORDERS = [q for q in range(3, 65) if prime_power(q)] + [243, 256]
+
+
+@pytest.mark.parametrize("q", GOLOMB_ORDERS)
+def test_golomb_logs_match_the_search(q):
+    """All primitive pairs up to q = 16; above, the generators and one other pair."""
+    prims = make_field(*prime_power(q)).primitive_elements()
+    if q <= 16:
+        pairs = list(itertools.product(prims, repeat=2))
+    else:
+        pairs = [(None, None), (prims[-1], prims[len(prims) // 2])]
+    for alpha, beta in pairs:
+        dots = construct_golomb(q, alpha, beta).dots
+        assert dots == golomb_dots_by_search(q, alpha, beta), (q, alpha, beta)
 
 
 # -- unfolding ------------------------------------------------------------------------

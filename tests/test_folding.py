@@ -9,16 +9,17 @@ from sidon2d import (
     Lattice,
     Shape,
     Tiling,
-    defines_folding,
     defines_folding_gcd,
     fold,
-    folded_row,
     folding_directions,
     fundamental_shape,
     unfold,
 )
 from sidon2d import folding
 from sidon2d.numtheory import euler_phi
+
+import folding_oracle
+from folding_oracle import defines_folding, folded_row
 
 WELCH7 = Tiling(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7))
 TROMINO = Tiling(Lattice(((1, 1), (-1, 2))), Shape(frozenset({(0, 0), (1, 0), (0, 1)})))
@@ -28,7 +29,12 @@ def square(m: int) -> Tiling:
     return Tiling(Lattice(((m, 0), (0, m))), Shape.rectangle(m, m))
 
 
-# -- folded rows ----------------------------------------------------------------
+def cells(tiling: Tiling) -> dict:
+    """Every cell of the shape labelled by itself: unfold reads off the row."""
+    return {c: c for c in tiling.shape.points}
+
+
+# -- the walk (the reference) ---------------------------------------------------
 
 
 def test_folded_row_on_coprime_rectangle_is_the_double_counter():
@@ -52,7 +58,7 @@ def test_folded_row_is_the_reduced_multiple():
 
 def test_zero_direction_is_rejected():
     with pytest.raises(ValueError):
-        folded_row(WELCH7, (0, 0))
+        unfold(cells(WELCH7), WELCH7, (0, 0))
     with pytest.raises(ValueError):
         defines_folding_gcd(WELCH7.lattice, 42, (0, 0))
 
@@ -60,12 +66,13 @@ def test_zero_direction_is_rejected():
 @pytest.mark.parametrize("bad", [(1.9, 1), (True, 1), (1, False), (1, 2, 3), (1,), 5, "11", None])
 def test_a_direction_is_exactly_two_integers(bad):
     with pytest.raises(ValueError, match="pair of integers"):
-        folded_row(WELCH7, bad)
+        unfold(cells(WELCH7), WELCH7, bad)
     with pytest.raises(ValueError, match="pair of integers"):
         defines_folding_gcd(WELCH7.lattice, 42, bad)
     with pytest.raises(ValueError, match="pair of integers"):
         fold(list(range(42)), WELCH7, bad)
-    assert folded_row(WELCH7, [1, 1]) == folded_row(WELCH7, (1, 1))  # any two-int sequence
+    # any two-int sequence
+    assert unfold(cells(WELCH7), WELCH7, [1, 1]) == unfold(cells(WELCH7), WELCH7, (1, 1))
 
 
 # -- the closed-form test --------------------------------------------------------
@@ -176,7 +183,11 @@ def test_directions_equal_the_walk_scan_on_every_small_lattice():
         lattices += 1
         for shape in (fundamental_shape(lattice), shifted_transversal(lattice, rng)):
             tiling = Tiling(lattice, shape)
-            assert folding_directions(tiling) == walk_directions(tiling), (lattice.rows, shape)
+            directions = folding_directions(tiling)
+            assert directions == walk_directions(tiling), (lattice.rows, shape)
+            for d in directions:
+                row = folded_row(tiling, d)[0]
+                assert unfold(cells(tiling), tiling, d) == row, (lattice.rows, shape, d)
     assert lattices == 6016
     assert folding_directions(TROMINO) == walk_directions(TROMINO)
 
@@ -189,13 +200,13 @@ def test_a_wrong_direction_count_is_an_error(monkeypatch):
 
 
 def test_a_complete_row_that_does_not_re_enter_is_an_error(monkeypatch):
-    real = folding.folded_row
+    real = folding_oracle.folded_row
 
     def reversed_row(tiling, direction):
         row, complete = real(tiling, direction)
         return row[::-1], complete
 
-    monkeypatch.setattr(folding, "folded_row", reversed_row)
+    monkeypatch.setattr(folding_oracle, "folded_row", reversed_row)
     with pytest.raises(RuntimeError, match="re-enter"):
         defines_folding(WELCH7, (1, 1))
     assert not defines_folding(square(2), (1, 1))  # only complete rows are checked

@@ -3,13 +3,15 @@
 Every number the package reads from JSON, argv or a library argument
 goes through `numtheory.as_ints`, which never converts: bools, floats,
 numeric strings and wrong nesting are rejected, not truncated.  The CLI
-turns that rejection into exit 1 and one `error:` line.  The property
-test drives `cli.main` in-process with arbitrary and near-valid JSON.
+turns that rejection into exit 1 and one `error:` line.  Two property
+tests drive `cli.main` in-process: one with arbitrary and near-valid
+JSON, one with near-valid option strings.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
 from unittest import mock
 
@@ -29,10 +31,10 @@ from sidon2d import (
     construct_welch,
     defines_folding_gcd,
     fold,
-    folded_row,
     fundamental_shape,
     is_ddc,
     minimal_period,
+    unfold,
     unfold_to_sidon,
 )
 from sidon2d.numtheory import as_ints
@@ -108,7 +110,7 @@ def test_library_inputs_reject_non_integers(bad):
         lambda: Field(3, 2).from_coeffs((1, bad)),
         lambda: is_ddc([(0, 0), (bad, 2)]),
         lambda: minimal_period(WELCH7.lattice, WELCH7.shape, [(bad, 0)]),
-        lambda: folded_row(WELCH7, (bad, 1)),
+        lambda: unfold({c: c for c in WELCH7.shape.points}, WELCH7, (bad, 1)),
         lambda: defines_folding_gcd(WELCH7.lattice, 42, (1, bad)),
         lambda: fold(list(range(42)), WELCH7, (bad, 1)),
         lambda: unfold_to_sidon(construct_welch(7, 3), (1, 1), anchor=(0, bad)),
@@ -230,11 +232,9 @@ def command_inputs(draw):
     return argv, data
 
 
-@settings(max_examples=400, deadline=None)
-@given(command_inputs())
-def test_any_json_input_exits_cleanly(case):
-    argv, data = case
-    code, out, err = run_main(argv, json.dumps(data))
+def assert_clean_exit(argv, code, out, err):
+    """Exit 1 with one `error:` line and nothing on stdout, or exit 0/2
+    with one JSON line (an ascii grid for `render`) and nothing on stderr."""
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     if code == 1:
@@ -248,3 +248,76 @@ def test_any_json_input_exits_cleanly(case):
         lines = out.splitlines()
         assert len(lines) == 1
         json.loads(lines[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_inputs())
+def test_any_json_input_exits_cleanly(case):
+    argv, data = case
+    assert_clean_exit(argv, *run_main(argv, json.dumps(data)))
+
+
+# -- argv ------------------------------------------------------------------------------
+
+# Text that stands in for a number or a separator.  None of it holds a
+# digit, and a separator never becomes empty (that could merge two
+# numbers into a larger one), so no value outgrows its bound below.
+JUNK = st.sampled_from(["", " ", "-", "a", ".5", "true", "[", "]", "x", ",", ";", "lower-left"])
+
+
+@st.composite
+def joined(draw, numbers, separators):
+    """The numbers joined by the separators, at times with one piece junk."""
+    pieces = [str(numbers[0])]
+    for sep, n in zip(separators, numbers[1:]):
+        pieces += [sep, str(n)]
+    if draw(st.integers(0, 3)) == 3:
+        i = draw(st.integers(0, len(pieces) - 1))
+        pieces[i] = draw(JUNK.filter(bool) if i % 2 else JUNK)
+    return "".join(pieces)
+
+
+def pairs(low, high):
+    return st.lists(st.integers(low, high), min_size=2, max_size=2)
+
+
+@st.composite
+def argv_inputs(draw):
+    """A command with near-valid option strings, cheap whatever they hold:
+    lattice entries in [-3, 3], so volumes <= 18; rectangles at most
+    40 x 40; group orders <= 24."""
+    entries = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+    volume = abs(entries[0] * entries[3] - entries[1] * entries[2])
+    lattice = "--lattice=" + draw(joined(entries, ",;,"))
+    cells = json.dumps(draw(st.lists(pairs(-3, 3), max_size=6)))
+    rectangle = draw(joined(draw(pairs(-1, 40)), "x"))
+    shape = draw(st.sampled_from([[], ["--shape=" + cells], ["--shape=" + rectangle]]))
+    direction = "--direction=" + draw(joined(draw(pairs(-6, 6)), ","))
+    anchor = "--anchor=" + draw(st.just("lower-left") | joined(draw(pairs(-1, 3)), ","))
+    moduli = draw(
+        st.lists(st.integers(-1, 24), min_size=1, max_size=3).filter(lambda m: math.prod(m) <= 24)
+    )
+    sequence = {
+        "modulus": draw(st.sampled_from([volume, 1, 7])),
+        "elements": draw(st.lists(st.integers(0, max(volume - 1, 0)), unique=True, max_size=4)),
+    }
+    return draw(
+        st.sampled_from(
+            [
+                (["directions", lattice, *shape], ""),
+                (["fold", lattice, *shape, direction], json.dumps(sequence)),
+                (["unfold", direction, anchor], json.dumps(PATTERNS[0])),
+                (["search", "--max-sidon=" + draw(joined(moduli, "," * (len(moduli) - 1)))], ""),
+                (["search", "--max-ddc", lattice, *shape], ""),
+            ]
+        )
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv_inputs())
+def test_any_option_string_exits_cleanly(case):
+    """Values go in as `--option=value`, so those starting with '-' reach
+    the command rather than argparse's option matching."""
+    argv, stdin = case
+    assert_clean_exit(argv, *run_main(argv, stdin))

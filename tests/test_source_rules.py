@@ -8,6 +8,8 @@
   `cli.py`, which parses argv strings: `int()` truncates floats and
   accepts bools and numeric strings, so outside values are read by
   `as_ints` alone.
+- The names `__init__.py` imports are exactly `__all__` (less
+  `__version__`), so removing an export means removing it from both.
 """
 
 import ast
@@ -58,3 +60,18 @@ def test_no_int_conversions_outside_the_boundary(path):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
     ]
     assert lines == [], f"{path.name} calls int() on lines {lines}; read values with as_ints"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    init = parse(Path(sidon2d.__file__))
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(init)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    exported = [name for name in sidon2d.__all__ if name != "__version__"]
+    assert sorted(imported) == sorted(exported)
+    namespace: dict = {}
+    exec("from sidon2d import *", namespace)
+    assert set(sidon2d.__all__) <= set(namespace)
