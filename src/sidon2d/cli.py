@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
+from dataclasses import asdict
 
 from .ddc import (
     construct_golomb,
@@ -43,7 +45,7 @@ from .sidon import (
 
 SEQUENCE_FAMILIES = ("bose", "singer", "ruzsa", "power-pairs")
 PATTERN_FAMILIES = ("welch", "golomb")
-# verify kind -> (witness kind, field naming the repeated key)
+# verify kind -> (witness kind, JSON field naming the repeated key)
 WITNESSES = {
     "sidon": ("difference-collision", "difference"),
     "weak-sidon": ("sum-collision", "total"),
@@ -80,7 +82,7 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
                 f" (volume {lattice.volume})"
             )
         return Shape.rectangle(width, height)
-    return Shape.from_json(json.loads(text))
+    return Shape(json.loads(text))
 
 
 def _read_json(path: str | None) -> dict:
@@ -148,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     else:
         seq = construct_power_pairs(size_arg, args.alpha)
     if args.report:
-        _emit({"sequence": sequence_to_json(seq), "optimality": check_optimality(seq).to_json()})
+        _emit({"sequence": sequence_to_json(seq), "optimality": asdict(check_optimality(seq))})
     else:
         _emit(sequence_to_json(seq))
     return 0
@@ -175,7 +177,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         {
             "ok": False,
             "kind": kind,
-            key: _element_json(getattr(collision, key), rank),
+            key: _element_json(collision.key, rank),
             "pair_a": [_element_json(e, rank) for e in collision.pair_a],
             "pair_b": [_element_json(e, rank) for e in collision.pair_b],
         }
@@ -186,7 +188,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_fold(args: argparse.Namespace) -> int:
     seq = sequence_from_json(_read_json(args.input))
     lattice = _parse_lattice(args.lattice)
-    shape = _parse_shape(args.shape, lattice)
+    # the default shape is left to the fold, which checks the sequence first
+    shape = None if args.shape is None else _parse_shape(args.shape, lattice)
     direction = _parse_ints(args.direction, "direction")
     pattern = fold_sidon_to_ddc(seq, lattice, shape, direction)
     _emit(pattern_to_json(pattern))
@@ -300,10 +303,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """`--option -1,1;1,1` as `--option=-1,1;1,1`.  argparse reads a token
+    that starts with '-' as an option unless it is a plain negative number;
+    every sidon2d option is `-h` or starts with `--`, so any other such
+    token after an option can only be its value."""
+    out: list[str] = []
+    for token in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-(?!-|h$)", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

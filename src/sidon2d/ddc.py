@@ -16,6 +16,7 @@ from typing import Iterable
 from .fields import make_field
 from .folding import Direction, fold, unfold
 from .groups import (
+    Collision,
     SidonSequence,
     first_collision,
     max_distinct_difference_set,
@@ -26,22 +27,12 @@ from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
 from .numtheory import as_ints, is_prime, prime_power
 
 
-@dataclass(frozen=True)
-class SegmentCollision:
-    """Two distinct ordered dot pairs with the same difference vector."""
-
-    difference: Point
-    pair_a: tuple[Point, Point]
-    pair_b: tuple[Point, Point]
-
-
-def is_ddc(dots: Iterable[Point]) -> SegmentCollision | None:
+def is_ddc(dots: Iterable[Point]) -> Collision | None:
     """First repeated difference vector among distinct dots, if any."""
     pts = sorted(set(as_ints(dots, "dots", None, 2)))
-    hit = first_collision(
+    return first_collision(
         ((a[0] - b[0], a[1] - b[1]), (a, b)) for a in pts for b in pts if a != b
     )
-    return SegmentCollision(*hit) if hit else None
 
 
 @dataclass(frozen=True)
@@ -72,7 +63,7 @@ class PeriodicDdc:
         return self.lattice.volume
 
 
-def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> SegmentCollision | None:
+def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     """First difference collision modulo the lattice, if any.
 
     Differences are compared as cosets and reported as shape cells, so a
@@ -81,16 +72,15 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> SegmentCollision | None:
     """
     representative = pattern.tiling.representative
     dots = sorted(pattern.dots)
-    hit = first_collision(
+    return first_collision(
         (representative((a[0] - b[0], a[1] - b[1])), (a, b))
         for a in dots
         for b in dots
         if a != b
     )
-    return SegmentCollision(*hit) if hit else None
 
 
-def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, SegmentCollision] | None:
+def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, Collision] | None:
     """Scan every distinct window position for a plain-DDC violation.
 
     The window is the shape translated by t; the dots are those of the
@@ -179,15 +169,17 @@ def unfold_to_sidon(
 
 
 def fold_sidon_to_ddc(
-    seq: SidonSequence, lattice: Lattice, shape: Shape, direction: Direction
+    seq: SidonSequence, lattice: Lattice, shape: Shape | None, direction: Direction
 ) -> PeriodicDdc:
-    """Place a Sidon subset of Z_{|S|} onto the shape along the folded row."""
+    """Place a Sidon subset of Z_{|S|} onto the shape along the folded row;
+    None stands for the fundamental shape, built once the group matches."""
+    if seq.group.rank != 1 or seq.group.order != lattice.volume:
+        raise ValueError(
+            f"sequence group {seq.group.moduli} does not match shape size {lattice.volume}"
+        )
+    shape = fundamental_shape(lattice) if shape is None else shape
     pattern = PeriodicDdc(lattice, shape, frozenset())  # raises unless it tiles
     tiling = pattern.tiling
-    if seq.group.rank != 1 or seq.group.order != tiling.size:
-        raise ValueError(
-            f"sequence group {seq.group.moduli} does not match shape size {tiling.size}"
-        )
     if verify_sidon(seq) is not None:
         raise ValueError("sequence is not Sidon")
     members = set(seq.as_ints())
@@ -247,6 +239,7 @@ def render_ascii(pattern: PeriodicDdc) -> str:
 
 
 def pattern_to_json(pattern: PeriodicDdc) -> dict:
+    """The pattern as JSON: lattice rows, shape cells and dots, cells sorted."""
     return {
         "lattice": pattern.lattice.to_json(),
         "shape": pattern.shape.to_json(),
@@ -255,8 +248,9 @@ def pattern_to_json(pattern: PeriodicDdc) -> dict:
 
 
 def pattern_from_json(data: dict) -> PeriodicDdc:
+    """The pattern that pattern_to_json wrote, or a ValueError."""
     try:
         lattice, shape, dots = data["lattice"], data["shape"], data["dots"]
     except KeyError as missing:
         raise ValueError(f"pattern JSON is missing the {missing} key") from None
-    return PeriodicDdc(Lattice.from_json(lattice), Shape.from_json(shape), dots)
+    return PeriodicDdc(Lattice(lattice), Shape(shape), dots)

@@ -73,7 +73,7 @@ class SidonSequence:
         normalized = [group.normalize(e) for e in elements]
         repeat = first_collision((e, None) for e in normalized)
         if repeat:
-            raise ValueError(f"duplicate element {repeat[0]}")
+            raise ValueError(f"duplicate element {repeat.key}")
         self.elements: tuple[Element, ...] = tuple(sorted(normalized))
         self._members = set(normalized)
 
@@ -110,38 +110,28 @@ class SidonSequence:
         return f"SidonSequence({self.group.moduli}, {list(self.elements)})"
 
 
-def first_collision(
-    keyed_pairs: Iterable[tuple[Hashable, Any]],
-) -> tuple[Hashable, Any, Any] | None:
+@dataclass(frozen=True)
+class Collision:
+    """Two distinct pairs that share a key: a difference, a sum or a
+    difference vector, depending on the check that found them."""
+
+    key: Hashable
+    pair_a: Any
+    pair_b: Any
+
+
+def first_collision(keyed_pairs: Iterable[tuple[Hashable, Any]]) -> Collision | None:
     """The first key that repeats, with the pair that first had it and
     the pair that repeated it; None when every key is distinct."""
     seen: dict[Hashable, Any] = {}
     for key, pair in keyed_pairs:
         if key in seen:
-            return key, seen[key], pair
+            return Collision(key, seen[key], pair)
         seen[key] = pair
     return None
 
 
-@dataclass(frozen=True)
-class DifferenceCollision:
-    """Two distinct ordered pairs with the same difference."""
-
-    difference: Element
-    pair_a: tuple[Element, Element]
-    pair_b: tuple[Element, Element]
-
-
-@dataclass(frozen=True)
-class SumCollision:
-    """Two distinct unordered pairs with the same sum."""
-
-    total: Element
-    pair_a: tuple[Element, Element]
-    pair_b: tuple[Element, Element]
-
-
-def verify_sidon(seq: SidonSequence) -> DifferenceCollision | None:
+def verify_sidon(seq: SidonSequence) -> Collision | None:
     """First collision among ordered differences of distinct elements, if any."""
     if _differences_distinct(seq.group.moduli, seq.elements):
         return None
@@ -176,29 +166,26 @@ def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]
     return True
 
 
-def _first_difference_collision(seq: SidonSequence) -> DifferenceCollision | None:
+def _first_difference_collision(seq: SidonSequence) -> Collision | None:
     """The ordered scan: the first collision in the order of the pairs."""
     sub = seq.group.sub
-    hit = first_collision(
+    return first_collision(
         (sub(a, b), (a, b)) for a, b in product(seq.elements, repeat=2) if a != b
     )
-    return DifferenceCollision(*hit) if hit else None
 
 
-def verify_sidon_sums(seq: SidonSequence) -> SumCollision | None:
+def verify_sidon_sums(seq: SidonSequence) -> Collision | None:
     """First collision among pairwise sums, repetition allowed, if any."""
     add = seq.group.add
-    hit = first_collision(
+    return first_collision(
         (add(a, b), (a, b)) for a, b in combinations_with_replacement(seq.elements, 2)
     )
-    return SumCollision(*hit) if hit else None
 
 
-def verify_weak_sidon(seq: SidonSequence) -> SumCollision | None:
+def verify_weak_sidon(seq: SidonSequence) -> Collision | None:
     """Like verify_sidon_sums but only sums of two distinct elements."""
     add = seq.group.add
-    hit = first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))
-    return SumCollision(*hit) if hit else None
+    return first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))
 
 
 def sidon_upper_bound(n: int) -> int:
@@ -259,46 +246,30 @@ def max_distinct_difference_set(
     return best_size, best_witness
 
 
-class CrtIsomorphism:
-    """Bijection between a product of pairwise coprime cyclic factors and
-    the single cycle of the same order, via CRT interpolation weights."""
-
-    def __init__(self, group: GroupSpec):
-        mods = group.moduli
-        for i, a in enumerate(mods):
-            for b in mods[i + 1 :]:
-                if math.gcd(a, b) != 1:
-                    raise ValueError(f"moduli {a} and {b} are not coprime")
-        self.group = group
-        self.modulus = group.order
-        n = self.modulus
-        self.weights = tuple(n // m * modinv(n // m % m, m) % n for m in mods)
-
-    def to_int(self, el: Element) -> int:
-        el = self.group.normalize(el)
-        return sum(c * w for c, w in zip(el, self.weights)) % self.modulus
-
-    def from_int(self, x: int) -> Element:
-        return tuple(x % m for m in self.group.moduli)
-
-    def map_sequence(self, seq: SidonSequence) -> SidonSequence:
-        if seq.group != self.group:
-            raise ValueError("sequence group does not match the isomorphism domain")
-        return SidonSequence.from_ints(self.modulus, [self.to_int(e) for e in seq.elements])
-
-
 def crt_flatten(seq: SidonSequence) -> SidonSequence:
-    """Rewrite a sequence over coprime factors as one over a single cycle."""
-    return CrtIsomorphism(seq.group).map_sequence(seq)
+    """Rewrite a sequence over pairwise coprime cyclic factors as one over
+    the single cycle of the same order, via CRT interpolation weights."""
+    mods = seq.group.moduli
+    for a, b in combinations(mods, 2):
+        if math.gcd(a, b) != 1:
+            raise ValueError(f"moduli {a} and {b} are not coprime")
+    n = seq.group.order
+    weights = [n // m * modinv(n // m % m, m) % n for m in mods]
+    return SidonSequence.from_ints(
+        n, [sum(c * w for c, w in zip(el, weights)) % n for el in seq.elements]
+    )
 
 
 def sequence_to_json(seq: SidonSequence) -> dict:
+    """The sequence as JSON: a modulus and integer elements for one cyclic
+    factor, otherwise the moduli and the elements as lists."""
     if seq.group.rank == 1:
         return {"modulus": seq.group.moduli[0], "elements": seq.as_ints()}
     return {"moduli": list(seq.group.moduli), "elements": [list(e) for e in seq.elements]}
 
 
 def sequence_from_json(data: dict) -> SidonSequence:
+    """The sequence that sequence_to_json wrote, or a ValueError."""
     try:
         if "modulus" in data:
             return SidonSequence.from_ints(data["modulus"], data["elements"])

@@ -18,6 +18,10 @@ from .numtheory import as_ints, xgcd
 
 Point = tuple[int, int]
 
+# The field order limit, so Bose q = 1024 fits.  Slowest at the cap: `fold` of
+# that sequence onto 1023,0;0,1025, 10.6 s cold, 415 MB (2-vCPU Xeon, Python 3.11).
+MAX_RECTANGLE_CELLS = 1 << 20
+
 
 def _hnf_rows(rows: Iterable[Point]) -> tuple[Point, Point]:
     """Upper-triangular basis ((a, b), (0, d)) of the span of the rows.
@@ -76,10 +80,6 @@ class Lattice:
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "Lattice":
-        return cls(data)
-
 
 @dataclass(frozen=True)
 class Shape:
@@ -97,6 +97,8 @@ class Shape:
     def rectangle(cls, width: int, height: int) -> "Shape":
         if width < 1 or height < 1:
             raise ValueError(f"rectangle sides must be positive, got {width}x{height}")
+        if width * height > MAX_RECTANGLE_CELLS:
+            raise ValueError(f"rectangle {width}x{height} is over the {MAX_RECTANGLE_CELLS}-cell cap")
         return cls(frozenset((x, y) for x in range(width) for y in range(height)))
 
     @property
@@ -111,10 +113,6 @@ class Shape:
 
     def to_json(self) -> list[list[int]]:
         return [list(p) for p in sorted(self.points)]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Iterable[int]]) -> "Shape":
-        return cls(data)
 
 
 def fundamental_shape(lattice: Lattice) -> Shape:
@@ -156,20 +154,8 @@ class Tiling:
         return self.representatives[self.lattice.coset_key(point)]
 
 
-@dataclass(frozen=True)
-class PeriodPair:
-    """Two independent translation vectors and the volume they span."""
-
-    vectors: tuple[Point, Point]
-
-    @property
-    def volume(self) -> int:
-        (a, b), (c, d) = self.vectors
-        return abs(a * d - b * c)
-
-
-def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> PeriodPair:
-    """Basis of the full translation-symmetry lattice of the pattern.
+def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Lattice:
+    """The full translation-symmetry lattice of the pattern.
 
     The pattern is the doubly periodic 0/1 array obtained by stamping
     the dots into every lattice translate of the shape.  The returned
@@ -188,5 +174,4 @@ def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Per
     for tx, ty in shape.points:
         if all(representative((x + tx, y + ty)) in dot_set for x, y in dot_list):
             symmetries.append((tx, ty))
-    rows = list(lattice.rows) + symmetries
-    return PeriodPair(_hnf_rows(rows))
+    return Lattice(_hnf_rows(list(lattice.rows) + symmetries))

@@ -10,7 +10,7 @@ by backtracking and grade a sequence against them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .fields import Field, make_field
 from .groups import (
@@ -145,9 +145,6 @@ class OptimalityReport:
     upper_bound: int
     brute_force_max: int | None
     verdict: str  # optimal-by-bound | optimal | unknown
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def check_optimality(seq: SidonSequence, brute_cap: int = DEFAULT_BRUTE_CAP) -> OptimalityReport:

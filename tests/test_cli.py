@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import sidon2d
-from sidon2d import Shape, Tiling, cli
+from sidon2d import Shape, Tiling, cli, construct_welch, pattern_to_json
 
 CLI = [sys.executable, "-m", "sidon2d"]
 # The children run the package these tests import, whether it is
@@ -352,6 +353,65 @@ def test_a_rectangle_of_the_wrong_size_is_refused_before_it_is_built(command, mo
     assert err == (
         "error: shape of size 1000000 does not tile with lattice ((2, 0), (0, 1)) (volume 2)\n"
     )
+
+
+def test_a_mismatched_fold_builds_no_cell(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("the rectangle was built")
+
+    monkeypatch.setattr(Shape, "rectangle", refuse)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 20, "elements": [0, 1, 3]}'))
+    assert cli.main(["fold", "--lattice", "1000,0;0,1001", "--direction", "1,1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: sequence group (20,) does not match shape size 1001000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["directions", "--lattice", "1024,0;0,1025"],
+        ["directions", "--lattice", "1,0;0,1048577", "--shape", "1048577x1"],
+        ["fold", "--lattice", "1024,0;0,1025", "--direction", "1,1"],
+    ],
+)
+def test_a_rectangle_over_the_cell_cap_is_refused_fast(argv, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 1049600, "elements": [0]}'))
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: rectangle ") and err.endswith(" is over the 1048576-cell cap\n")
+    assert len(err.splitlines()) == 1
+
+
+WELCH7_JSON = json.dumps(pattern_to_json(construct_welch(7, 3)))
+Z42_SIDON = '{"modulus": 42, "elements": [0, 8, 10, 11, 33, 37]}'
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code",
+    [
+        (["directions", "--lattice", "-1,1;1,1"], "", 0),
+        (["fold", "--lattice", "6,0;0,7", "--direction", "-1,1"], Z42_SIDON, 0),
+        (["unfold", "--direction", "1,1", "--anchor", "-1,0"], WELCH7_JSON, 1),
+        (["directions", "--lattice", "2,0;0,3", "--shape", "-2x3"], "", 1),
+        (["directions", "--lattice", "2,0;0,3", "--shape", "-x3"], "", 1),
+        (["search", "--max-sidon", "-7,3"], "", 1),
+    ],
+    ids=["lattice", "direction", "anchor", "shape", "shape-no-digit", "max-sidon"],
+)
+def test_a_value_with_a_leading_dash_reads_the_same_in_both_spellings(
+    argv, stdin, code, monkeypatch, capsys
+):
+    runs = []
+    for spelling in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        runs.append((cli.main(spelling), *capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == code
+    assert len(runs[0][2].splitlines()) == code  # one error line on exit 1
 
 
 @pytest.mark.parametrize("shape", ["0x2", "-1x-2", "-2x3"])

@@ -52,7 +52,7 @@ def test_is_ddc_accepts_and_rejects():
     assert is_ddc([(3, 4)]) is None
     c = is_ddc([(0, 0), (1, 0), (2, 0)])
     assert c is not None
-    assert c.difference == (-1, 0)
+    assert c.key == (-1, 0)
     assert c.pair_a == ((0, 0), (1, 0))
     assert c.pair_b == ((1, 0), (2, 0))
 
@@ -61,8 +61,8 @@ def test_is_ddc_collision_witness_is_sound():
     c = is_ddc([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert c is not None
     (a1, b1), (a2, b2) = c.pair_a, c.pair_b
-    assert (a1[0] - b1[0], a1[1] - b1[1]) == c.difference
-    assert (a2[0] - b2[0], a2[1] - b2[1]) == c.difference
+    assert (a1[0] - b1[0], a1[1] - b1[1]) == c.key
+    assert (a2[0] - b2[0], a2[1] - b2[1]) == c.key
     assert c.pair_a != c.pair_b
 
 
@@ -86,7 +86,7 @@ def test_modular_check_beats_the_window_scan():
     p = checkerboard()
     c = is_doubly_periodic_ddc(p)
     assert c is not None
-    assert c.difference == (1, 1)
+    assert c.key == (1, 1)
     assert is_ddc(p.dots) is None
     assert window_ddc_violation(p) is None  # every window looks clean
 
@@ -101,7 +101,7 @@ def test_window_scan_reports_in_window_collisions():
     assert hit is not None
     t, collision = hit
     assert t == (0, 0)
-    assert collision.difference == (-1, 0)
+    assert collision.key == (-1, 0)
 
 
 def test_modular_pass_implies_window_pass_on_random_patterns():

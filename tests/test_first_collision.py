@@ -11,13 +11,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidon2d import (
-    DifferenceCollision,
+    Collision,
     GroupSpec,
     Lattice,
     PeriodicDdc,
-    SegmentCollision,
     SidonSequence,
-    SumCollision,
     fundamental_shape,
     is_ddc,
     is_doubly_periodic_ddc,
@@ -37,7 +35,7 @@ def oracle_difference_collision(seq):
             continue
         d = g.sub(a, b)
         if d in seen:
-            return DifferenceCollision(d, seen[d], (a, b))
+            return Collision(d, seen[d], (a, b))
         seen[d] = (a, b)
     return None
 
@@ -48,7 +46,7 @@ def oracle_sum_collision(seq, pairs):
     for a, b in pairs(seq.elements, 2):
         s = g.add(a, b)
         if s in seen:
-            return SumCollision(s, seen[s], (a, b))
+            return Collision(s, seen[s], (a, b))
         seen[s] = (a, b)
     return None
 
@@ -62,7 +60,7 @@ def oracle_is_ddc(dots):
                 continue
             d = (a[0] - b[0], a[1] - b[1])
             if d in seen:
-                return SegmentCollision(d, seen[d], (a, b))
+                return Collision(d, seen[d], (a, b))
             seen[d] = (a, b)
     return None
 
@@ -76,7 +74,7 @@ def oracle_is_doubly_periodic_ddc(pattern):
                 continue
             d = tiling.representative((a[0] - b[0], a[1] - b[1]))
             if d in seen:
-                return SegmentCollision(d, seen[d], (a, b))
+                return Collision(d, seen[d], (a, b))
             seen[d] = (a, b)
     return None
 

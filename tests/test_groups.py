@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidon2d import (
-    CrtIsomorphism,
     GroupSpec,
     SidonSequence,
     crt_flatten,
@@ -95,12 +94,12 @@ def test_verify_reports_difference_collision():
     s = SidonSequence.from_ints(6, [0, 1, 3])
     c = verify_sidon(s)
     assert c is not None
-    assert c.difference == (3,)
+    assert c.key == (3,)
     assert c.pair_a == ((0,), (3,))
     assert c.pair_b == ((3,), (0,))
     # the witness actually describes a collision
     g = s.group
-    assert g.sub(*c.pair_a) == g.sub(*c.pair_b) == c.difference
+    assert g.sub(*c.pair_a) == g.sub(*c.pair_b) == c.key
     assert c.pair_a != c.pair_b
 
 
@@ -108,7 +107,7 @@ def test_verify_reports_sum_collision():
     s = SidonSequence.from_ints(4, [0, 1, 2])
     c = verify_sidon_sums(s)
     assert c is not None
-    assert c.total == (2,)
+    assert c.key == (2,)
     assert c.pair_a == ((0,), (2,))
     assert c.pair_b == ((1,), (1,))
     # the repeated-element sum is exactly what the weak variant ignores
@@ -119,7 +118,7 @@ def test_weak_sidon_violation():
     s = SidonSequence.from_ints(8, [0, 1, 2, 3])
     c = verify_weak_sidon(s)
     assert c is not None
-    assert c.total == (3,)
+    assert c.key == (3,)
     assert c.pair_a == ((0,), (3,))
     assert c.pair_b == ((1,), (2,))
 
@@ -206,29 +205,26 @@ def test_sidon_upper_bound_is_sharp_definition():
 
 
 def test_crt_maps_known_element():
-    iso = CrtIsomorphism(GroupSpec((6, 7)))
-    assert iso.to_int((1, 3)) == 31
-    assert iso.from_int(31) == (1, 3)
+    g = GroupSpec((6, 7))
+    assert crt_flatten(SidonSequence(g, [(1, 3)])) == SidonSequence.from_ints(42, [31])
 
 
 def test_crt_is_an_isomorphism():
     g = GroupSpec((6, 7))
-    iso = CrtIsomorphism(g)
-    seen = set()
-    for el in g.elements():
-        x = iso.to_int(el)
+    images = {el: crt_flatten(SidonSequence(g, [el])).as_ints()[0] for el in g.elements()}
+    for el, x in images.items():
         assert 0 <= x < 42
-        assert iso.from_int(x) == el
-        seen.add(x)
-    assert len(seen) == 42  # bijective
+        assert (x % 6, x % 7) == el
+    # bijective: the whole group maps onto all of Z_42
+    assert crt_flatten(SidonSequence(g, list(g.elements()))) == SidonSequence.from_ints(42, range(42))
     for a in [(0, 0), (1, 3), (5, 6)]:
         for b in [(2, 5), (3, 1)]:
-            assert iso.to_int(g.add(a, b)) == (iso.to_int(a) + iso.to_int(b)) % 42
+            assert images[g.add(a, b)] == (images[a] + images[b]) % 42
 
 
 def test_crt_requires_coprime_moduli():
     with pytest.raises(ValueError):
-        CrtIsomorphism(GroupSpec((2, 4)))
+        crt_flatten(SidonSequence(GroupSpec((2, 4)), [(1, 1)]))
 
 
 def test_crt_flatten_preserves_sidon():

@@ -285,15 +285,20 @@ def pairs(low, high):
 def argv_inputs(draw):
     """A command with near-valid option strings, cheap whatever they hold:
     lattice entries in [-3, 3], so volumes <= 18; rectangles at most
-    40 x 40; group orders <= 24."""
+    40 x 40; group orders <= 24.  Each value goes in as `--option=value`
+    or as two tokens."""
+
+    def option(name, value):
+        return [f"{name}={value}"] if draw(st.booleans()) else [name, value]
+
     entries = draw(st.lists(st.integers(-3, 3), min_size=4, max_size=4))
     volume = abs(entries[0] * entries[3] - entries[1] * entries[2])
-    lattice = "--lattice=" + draw(joined(entries, ",;,"))
+    lattice = option("--lattice", draw(joined(entries, ",;,")))
     cells = json.dumps(draw(st.lists(pairs(-3, 3), max_size=6)))
     rectangle = draw(joined(draw(pairs(-1, 40)), "x"))
-    shape = draw(st.sampled_from([[], ["--shape=" + cells], ["--shape=" + rectangle]]))
-    direction = "--direction=" + draw(joined(draw(pairs(-6, 6)), ","))
-    anchor = "--anchor=" + draw(st.just("lower-left") | joined(draw(pairs(-1, 3)), ","))
+    shape = draw(st.sampled_from([[], option("--shape", cells), option("--shape", rectangle)]))
+    direction = option("--direction", draw(joined(draw(pairs(-6, 6)), ",")))
+    anchor = option("--anchor", draw(st.just("lower-left") | joined(draw(pairs(-1, 3)), ",")))
     moduli = draw(
         st.lists(st.integers(-1, 24), min_size=1, max_size=3).filter(lambda m: math.prod(m) <= 24)
     )
@@ -304,11 +309,11 @@ def argv_inputs(draw):
     return draw(
         st.sampled_from(
             [
-                (["directions", lattice, *shape], ""),
-                (["fold", lattice, *shape, direction], json.dumps(sequence)),
-                (["unfold", direction, anchor], json.dumps(PATTERNS[0])),
-                (["search", "--max-sidon=" + draw(joined(moduli, "," * (len(moduli) - 1)))], ""),
-                (["search", "--max-ddc", lattice, *shape], ""),
+                (["directions", *lattice, *shape], ""),
+                (["fold", *lattice, *shape, *direction], json.dumps(sequence)),
+                (["unfold", *direction, *anchor], json.dumps(PATTERNS[0])),
+                (["search", *option("--max-sidon", draw(joined(moduli, "," * (len(moduli) - 1))))], ""),
+                (["search", "--max-ddc", *lattice, *shape], ""),
             ]
         )
     )
@@ -317,7 +322,5 @@ def argv_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(argv_inputs())
 def test_any_option_string_exits_cleanly(case):
-    """Values go in as `--option=value`, so those starting with '-' reach
-    the command rather than argparse's option matching."""
     argv, stdin = case
     assert_clean_exit(argv, *run_main(argv, stdin))

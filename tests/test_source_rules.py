@@ -10,6 +10,7 @@
   `as_ints` alone.
 - The names `__init__.py` imports are exactly `__all__` (less
   `__version__`), so removing an export means removing it from both.
+- Every exported name has a docstring of its own.
 """
 
 import ast
@@ -75,3 +76,8 @@ def test_the_package_exports_exactly_what_it_imports():
     namespace: dict = {}
     exec("from sidon2d import *", namespace)
     assert set(sidon2d.__all__) <= set(namespace)
+
+
+@pytest.mark.parametrize("name", [n for n in sidon2d.__all__ if n != "__version__"])
+def test_every_export_has_a_docstring(name):
+    assert (getattr(sidon2d, name).__doc__ or "").strip(), f"{name} has no docstring"
