@@ -82,7 +82,10 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
                 f" (volume {lattice.volume})"
             )
         return Shape.rectangle(width, height)
-    return Shape(json.loads(text))
+    try:
+        return Shape(json.loads(text))
+    except (json.JSONDecodeError, RecursionError):
+        raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
 
 
 def _read_json(path: str | None) -> dict:
@@ -93,7 +96,7 @@ def _read_json(path: str | None) -> dict:
             text = fh.read()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"malformed JSON input: {exc}")
     if not isinstance(data, dict):
         raise ValueError("JSON input must be an object")

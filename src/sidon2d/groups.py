@@ -206,44 +206,41 @@ def max_distinct_difference_set(
     distinct members are pairwise distinct; ties break to the
     lexicographically smallest witness.
 
-    Depth-first over candidates in their given (sorted) order, recording
-    the first witness of each new size: branches are cut only when they
-    cannot exceed the best size, so the first maximum found is the
+    Depth-first over candidates in their given (sorted) order, each
+    difference key a bit of an int.  A node keeps its used differences
+    and, in order, the later candidates that can still join, each with
+    the differences it would bring; choosing one drops only those it
+    rules out for good.  A branch is cut when all candidates left cannot
+    beat the best size, so the first maximum found is the
     lexicographically smallest one.  Stops early at the counting bound.
     """
-    best_size = 1
-    best_witness: tuple = (identity,)
-    chosen: list = [identity]
-    used: set = set()
+    items = [identity, *candidates]
+    ids: dict = {}
+    bits = [[1 << ids.setdefault(diff(a, b), len(ids)) for b in items] for a in items]
+    # pair[c][y]: the bits of c - y and y - c, or 0 when the two coincide
+    pair = [[0 if cy == yc else cy | yc for cy, yc in zip(row, col)] for row, col in zip(bits, zip(*bits))]
+    chosen = [0]
+    best = [0]
 
-    def extend(start: int) -> bool:
-        nonlocal best_size, best_witness
-        if len(chosen) > best_size:
-            best_size = len(chosen)
-            best_witness = tuple(chosen)
-            if best_size == upper_bound:
+    def extend(used: int, admissible: list[tuple[int, int]]) -> bool:
+        depth = len(chosen)
+        if depth > len(best):
+            best[:] = chosen
+            if depth == upper_bound:
                 return True
-        for idx in range(start, len(candidates)):
-            if len(chosen) + (len(candidates) - idx) <= best_size:
-                break  # cannot beat the best even taking everything left
-            c = candidates[idx]
-            new_diffs = set()
-            for x in chosen:
-                new_diffs.add(diff(c, x))
-                new_diffs.add(diff(x, c))
-            if len(new_diffs) < 2 * len(chosen) or new_diffs & used:
-                continue
+        for pos, (c, cmask) in enumerate(admissible):
+            if depth + len(admissible) - pos <= len(best):
+                break  # cannot beat the best even taking every candidate left
+            row, used_c = pair[c], used | cmask
             chosen.append(c)
-            used.update(new_diffs)
-            done = extend(idx + 1)
-            chosen.pop()
-            used.difference_update(new_diffs)
-            if done:
+            if extend(used_c, [(y, ymask | ab) for y, ymask in admissible[pos + 1 :] for ab in [row[y]]
+                               if ab and not (ab & (used_c | ymask) or ymask & cmask)]):
                 return True
+            chosen.pop()
         return False
 
-    extend(0)
-    return best_size, best_witness
+    extend(0, [(y, ab) for y, ab in enumerate(pair[0]) if ab])
+    return len(best), tuple(items[i] for i in best)
 
 
 def crt_flatten(seq: SidonSequence) -> SidonSequence:

@@ -297,6 +297,24 @@ def test_malformed_json_is_a_clean_error():
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("text", ["[[0,0],[1,0]", "[" * 100_000], ids=["unclosed", "deep"])
+def test_malformed_json_shape_names_the_option(text):
+    proc = run_cli("directions", "--lattice", "2,0;0,1", "--shape", text)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: malformed shape: expected 'WxH' or a JSON point list, got {text!r}"
+    ]
+
+
+def test_deeply_nested_json_input_is_a_clean_error():
+    proc = run_cli("verify", "--kind", "sidon", stdin="[" * 100_000)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: malformed JSON input:")
+
+
 @pytest.mark.parametrize(
     "kind,text",
     [

@@ -163,6 +163,15 @@ def test_max_sidon_frozen_values():
     assert max_sidon_size(GroupSpec((2, 2))) == (1, ((0, 0),))
 
 
+def test_max_sidon_at_the_cap_edge():
+    """The cyclic groups at the top of the cap, with the maxima and
+    witnesses the set-based search (tests/search_oracle.py) found."""
+    head = ((0,), (1,), (3,), (7,), (12,), (20,))
+    assert max_sidon_size(GroupSpec((58,))) == (7, head + ((43,),))
+    assert max_sidon_size(GroupSpec((59,))) == (7, head + ((34,),))
+    assert max_sidon_size(GroupSpec((60,))) == (7, head + ((38,),))
+
+
 def test_max_sidon_matches_the_subset_filter():
     for moduli in [(5,), (6,), (7,), (8,), (2, 4), (3, 3), (12,), (2, 2, 3)]:
         g = GroupSpec(moduli)
