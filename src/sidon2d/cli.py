@@ -115,47 +115,36 @@ def _element_json(element: tuple[int, ...], rank: int):
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    family = args.family
-    if family in ("welch", "ruzsa"):
-        if args.p is None:
-            raise ValueError(f"--family {family} requires --p")
-        size_arg = args.p
-    else:
-        if args.q is None:
-            raise ValueError(f"--family {family} requires --q")
-        size_arg = args.q
-    if args.beta is not None and family != "golomb":
+    # family -> (constructor, size option, primitive-element options), built
+    # per call so that it reads the names this module holds at the time
+    constructor, size, options = {
+        "bose": (construct_bose, "q", ()),
+        "singer": (construct_singer, "q", ()),
+        "ruzsa": (construct_ruzsa, "p", ("alpha",)),
+        "power-pairs": (construct_power_pairs, "q", ("alpha",)),
+        "welch": (construct_welch, "p", ("alpha",)),
+        "golomb": (construct_golomb, "q", ("alpha", "beta")),
+    }[args.family]
+    if getattr(args, size) is None:
+        raise ValueError(f"--family {args.family} requires --{size}")
+    if args.beta is not None and "beta" not in options:
         raise ValueError("--beta only applies to --family golomb")
-    if args.alpha is not None and family in ("bose", "singer"):
-        raise ValueError(f"--family {family} does not take --alpha")
-
-    if family in PATTERN_FAMILIES:
-        if args.report:
-            raise ValueError("--report only applies to sequence families")
-        if family == "welch":
-            pattern = construct_welch(size_arg, args.alpha)
-        else:
-            pattern = construct_golomb(size_arg, args.alpha, args.beta)
-        if args.format == "ascii":
-            print(render_ascii(pattern))
-        else:
-            _emit(pattern_to_json(pattern))
-        return 0
-
-    if args.format == "ascii":
+    if args.alpha is not None and "alpha" not in options:
+        raise ValueError(f"--family {args.family} does not take --alpha")
+    pattern = args.family in PATTERN_FAMILIES
+    if pattern and args.report:
+        raise ValueError("--report only applies to sequence families")
+    if not pattern and args.format == "ascii":
         raise ValueError("only pattern families render as ascii")
-    if family == "bose":
-        seq = construct_bose(size_arg)
-    elif family == "singer":
-        seq = construct_singer(size_arg)
-    elif family == "ruzsa":
-        seq = construct_ruzsa(size_arg, args.alpha)
+    built = constructor(getattr(args, size), *(getattr(args, o) for o in options))
+    if args.format == "ascii":
+        print(render_ascii(built))
+    elif pattern:
+        _emit(pattern_to_json(built))
+    elif args.report:
+        _emit({"sequence": sequence_to_json(built), "optimality": asdict(check_optimality(built))})
     else:
-        seq = construct_power_pairs(size_arg, args.alpha)
-    if args.report:
-        _emit({"sequence": sequence_to_json(seq), "optimality": asdict(check_optimality(seq))})
-    else:
-        _emit(sequence_to_json(seq))
+        _emit(sequence_to_json(built))
     return 0
 
 

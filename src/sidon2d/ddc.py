@@ -18,9 +18,8 @@ from .folding import Direction, fold, unfold
 from .groups import (
     Collision,
     SidonSequence,
-    first_collision,
+    first_difference_collision,
     max_distinct_difference_set,
-    sidon_upper_bound,
     verify_sidon,
 )
 from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
@@ -30,9 +29,7 @@ from .numtheory import as_ints, is_prime, prime_power
 def is_ddc(dots: Iterable[Point]) -> Collision | None:
     """First repeated difference vector among distinct dots, if any."""
     pts = sorted(set(as_ints(dots, "dots", None, 2)))
-    return first_collision(
-        ((a[0] - b[0], a[1] - b[1]), (a, b)) for a in pts for b in pts if a != b
-    )
+    return first_difference_collision(pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
 
 
 @dataclass(frozen=True)
@@ -58,10 +55,6 @@ class PeriodicDdc:
         object.__setattr__(self, "dots", dots)
         object.__setattr__(self, "tiling", tiling)
 
-    @property
-    def volume(self) -> int:
-        return self.lattice.volume
-
 
 def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     """First difference collision modulo the lattice, if any.
@@ -71,12 +64,8 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     copies of the replicated pattern.
     """
     representative = pattern.tiling.representative
-    dots = sorted(pattern.dots)
-    return first_collision(
-        (representative((a[0] - b[0], a[1] - b[1])), (a, b))
-        for a in dots
-        for b in dots
-        if a != b
+    return first_difference_collision(
+        sorted(pattern.dots), lambda a, b: representative((a[0] - b[0], a[1] - b[1]))
     )
 
 
@@ -105,7 +94,7 @@ def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, Collision] | None
 def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:
     """Dots (i, alpha^i mod p) on a (p-1)-wide, p-tall rectangle,
     replicated by the diagonal lattice [[p-1, 0], [0, p]]."""
-    if not is_prime(p):
+    if not is_prime(as_ints(p, "p")):
         raise ValueError(f"need a prime, got {p}")
     f = make_field(p)
     alpha = f.primitive_or_generator(alpha, "alpha")
@@ -123,19 +112,13 @@ def construct_golomb(
 
     Each 1 <= i <= q-2 has alpha^i != 1, hence the single partner
     j = log_beta(1 - alpha^i); i = 0 has none.  So q - 2 dots."""
-    pp = prime_power(q)
+    pp = prime_power(as_ints(q, "q"))
     if pp is None or q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     f = make_field(*pp)
     alpha = f.primitive_or_generator(alpha, "alpha")
     beta = f.primitive_or_generator(beta, "beta")
-
-    def one_minus(x: int) -> int:
-        # -x with its constant coefficient, the lowest base-p digit of its code, plus one
-        m = f.neg(x)
-        return m - m % f.p + (m + 1) % f.p
-
-    dots = frozenset((i, f.log(one_minus(f.pow(alpha, i)), beta)) for i in range(1, q - 1))
+    dots = frozenset((i, f.log(f.sub(1, f.pow(alpha, i)), beta)) for i in range(1, q - 1))
     return PeriodicDdc(
         Lattice(((q - 1, 0), (0, q - 1))), Shape.rectangle(q - 1, q - 1), dots
     )
@@ -190,12 +173,10 @@ def fold_sidon_to_ddc(
     return pattern
 
 
-DEFAULT_DDC_SEARCH_CAP = 49
+DDC_SEARCH_CAP = 49
 
 
-def max_ddc_dots(
-    lattice: Lattice, shape: Shape | None = None, cap: int = DEFAULT_DDC_SEARCH_CAP
-) -> tuple[int, tuple[Point, ...]]:
+def max_ddc_dots(lattice: Lattice, shape: Shape | None = None) -> tuple[int, tuple[Point, ...]]:
     """Exact maximum dot count of a doubly periodic DDC on the tiling.
 
     Backtracking over shape cells with differences tracked as cosets;
@@ -204,19 +185,13 @@ def max_ddc_dots(
     volume has passed the cap.  Returns the count and the
     lexicographically smallest witness.
     """
-    if lattice.volume > cap:
-        raise ValueError(f"volume {lattice.volume} exceeds the search cap {cap}")
-    if shape is None:
-        shape = fundamental_shape(lattice)
-    tiling = Tiling(lattice, shape)
-    candidates = sorted(shape.points)
-    candidates.remove((0, 0))
+    if lattice.volume > DDC_SEARCH_CAP:
+        raise ValueError(f"volume {lattice.volume} exceeds the search cap {DDC_SEARCH_CAP}")
+    shape = fundamental_shape(lattice) if shape is None else shape
+    Tiling(lattice, shape)  # raises unless it tiles
     key = lattice.coset_key
     return max_distinct_difference_set(
-        (0, 0),
-        candidates,
-        lambda a, b: key((a[0] - b[0], a[1] - b[1])),
-        sidon_upper_bound(tiling.size),
+        (0, 0), shape.points, lambda a, b: key((a[0] - b[0], a[1] - b[1]))
     )
 
 

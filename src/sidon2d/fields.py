@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .numtheory import as_ints, factorize, is_prime, modinv, xgcd
 
@@ -182,17 +182,16 @@ def _power_codes(p: int, k: int, mod: Sequence[int], gen: Sequence[int]) -> list
 
 
 class Field:
-    """GF(p^k) with exp/log tables over a fixed reducing polynomial.
+    """GF(p^k) with exp/log tables over the canonical reducing polynomial.
 
-    ``modulus`` is the coefficient vector (c0, ..., c_{k-1}) of the monic
-    reducing polynomial x^k + c_{k-1} x^{k-1} + ... + c0.  Omitting it
-    selects the canonical one (see module docstring).
+    ``modulus`` is the coefficient vector (c0, ..., c_{k-1}) of that monic
+    polynomial x^k + c_{k-1} x^{k-1} + ... + c0 (see module docstring).
     """
 
-    def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
-        if not is_prime(p):
+    def __init__(self, p: int, k: int = 1):
+        if not is_prime(as_ints(p, "field characteristic")):
             raise ValueError(f"characteristic {p} is not prime")
-        if k < 1:
+        if as_ints(k, "extension degree") < 1:
             raise ValueError(f"extension degree must be positive, got {k}")
         order = p**k
         if order > ORDER_LIMIT:
@@ -200,21 +199,11 @@ class Field:
         self.p = p
         self.k = k
         self.order = order
-        if modulus is None:
-            modulus = self._canonical_modulus(p, k)
-        else:
-            modulus = tuple(c % p for c in as_ints(modulus, "field modulus", k))
-            if not _is_irreducible(modulus, p, k):
-                raise ValueError(f"reducing polynomial {modulus} is not irreducible over GF({p})")
-        self.modulus: tuple[int, ...] = tuple(modulus)
+        # every degree has an irreducible polynomial, so this finds one
+        self.modulus: tuple[int, ...] = next(
+            c for c in itertools.product(range(p), repeat=k) if _is_irreducible(c, p, k)
+        )
         self._build_tables()
-
-    @staticmethod
-    def _canonical_modulus(p: int, k: int) -> tuple[int, ...]:
-        for coeffs in itertools.product(range(p), repeat=k):
-            if _is_irreducible(coeffs, p, k):
-                return coeffs
-        raise RuntimeError(f"no irreducible polynomial of degree {k} over GF({p})")  # unreachable
 
     def _build_tables(self) -> None:
         p, k, q = self.p, self.k, self.order
@@ -236,9 +225,6 @@ class Field:
             raise ValueError(f"{x!r} is not an element of GF({self.order})")
         return x
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def coeffs(self, x: int) -> tuple[int, ...]:
         """Coefficient vector of x, constant term first."""
         self._check(x)
@@ -247,12 +233,6 @@ class Field:
             x, c = divmod(x, self.p)
             out.append(c)
         return tuple(out)
-
-    def from_coeffs(self, coeffs: Iterable[int]) -> int:
-        cs = as_ints(coeffs, "coefficients", self.k)
-        if any(not 0 <= c < self.p for c in cs):
-            raise ValueError(f"coefficients out of range for GF({self.p}): {cs}")
-        return sum(c * self.p**i for i, c in enumerate(cs))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -287,15 +267,8 @@ class Field:
         n = self.order - 1
         return self.exp_table[(self.log_table[a] + self.log_table[b]) % n]
 
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        n = self.order - 1
-        return self.exp_table[-self.log_table[a] % n]
-
     def pow(self, a: int, e: int) -> int:
-        self._check(a)
+        self._check(a), as_ints(e, "exponent")
         if a == 0:
             if e == 0:
                 return 1
@@ -370,12 +343,11 @@ class Field:
         return hash((self.p, self.k, self.modulus))
 
     def __repr__(self) -> str:
-        if self.k == 1:
-            return f"Field({self.p})"
-        return f"Field({self.p}, {self.k}, modulus={self.modulus})"
+        return f"Field({self.p}, {self.k})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, k: int = 1) -> Field:
-    """Cached constructor for the canonical GF(p^k)."""
+    """Cached constructor for the canonical GF(p^k); typed, so that a
+    bool misses the entry of the int it equals and is rejected."""
     return Field(p, k)

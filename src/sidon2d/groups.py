@@ -4,7 +4,11 @@ A Sidon sequence is a subset whose ordered differences of distinct
 elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
 sums with repetition are distinct.  Every distinctness check in the
-package is one first_collision scan over (key, pair) items.
+package is one first_collision scan over (key, pair) items.  A Sidon
+sequence in Z_n and a doubly periodic DDC in Z^2 modulo a lattice are
+both distinct-difference sets, told apart only by their subtraction:
+first_difference_collision verifies either kind and
+max_distinct_difference_set searches either for its largest member.
 """
 
 from __future__ import annotations
@@ -49,9 +53,6 @@ class GroupSpec:
 
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
-
-    def neg(self, a: Element) -> Element:
-        return tuple(-x % m for x, m in zip(a, self.moduli))
 
     def sub(self, a: Element, b: Element) -> Element:
         return tuple((x - y) % m for x, y, m in zip(a, b, self.moduli))
@@ -135,7 +136,7 @@ def verify_sidon(seq: SidonSequence) -> Collision | None:
     """First collision among ordered differences of distinct elements, if any."""
     if _differences_distinct(seq.group.moduli, seq.elements):
         return None
-    return _first_difference_collision(seq)
+    return first_difference_collision(seq.elements, seq.group.sub)
 
 
 def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]) -> bool:
@@ -166,12 +167,12 @@ def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]
     return True
 
 
-def _first_difference_collision(seq: SidonSequence) -> Collision | None:
-    """The ordered scan: the first collision in the order of the pairs."""
-    sub = seq.group.sub
-    return first_collision(
-        (sub(a, b), (a, b)) for a, b in product(seq.elements, repeat=2) if a != b
-    )
+def first_difference_collision(
+    elements: Sequence[Hashable], sub: Callable[[Any, Any], Hashable]
+) -> Collision | None:
+    """The first difference sub(a, b) of distinct elements that repeats,
+    pairs (a, b) taken in the order of the elements, with both pairs."""
+    return first_collision((sub(a, b), (a, b)) for a in elements for b in elements if a != b)
 
 
 def verify_sidon_sums(seq: SidonSequence) -> Collision | None:
@@ -191,22 +192,20 @@ def verify_weak_sidon(seq: SidonSequence) -> Collision | None:
 def sidon_upper_bound(n: int) -> int:
     """Largest m with m*(m-1) <= n-1: a Sidon set in a group of order n
     spends its m*(m-1) nonzero differences on the n-1 nonzero elements."""
-    if n < 1:
+    if as_ints(n, "group order") < 1:
         raise ValueError(f"group order must be positive, got {n}")
     return (1 + math.isqrt(4 * n - 3)) // 2
 
 
 def max_distinct_difference_set(
-    identity: Hashable,
-    candidates: Sequence[Hashable],
-    diff: Callable[[Hashable, Hashable], Hashable],
-    upper_bound: int,
+    identity: Hashable, elements: Iterable[Hashable], diff: Callable[[Any, Any], Hashable]
 ) -> tuple[int, tuple]:
-    """Largest subset (with the identity) whose ordered differences of
-    distinct members are pairwise distinct; ties break to the
-    lexicographically smallest witness.
+    """Largest subset containing the identity whose ordered differences
+    of distinct members are pairwise distinct; ties break to the
+    lexicographically smallest witness.  The elements are a whole group,
+    or one representative of each coset, the identity among them.
 
-    Depth-first over candidates in their given (sorted) order, each
+    Depth-first over the other elements in sorted order, each
     difference key a bit of an int.  A node keeps its used differences
     and, in order, the later candidates that can still join, each with
     the differences it would bring; choosing one drops only those it
@@ -214,7 +213,10 @@ def max_distinct_difference_set(
     beat the best size, so the first maximum found is the
     lexicographically smallest one.  Stops early at the counting bound.
     """
-    items = [identity, *candidates]
+    items = sorted(elements)
+    upper_bound = sidon_upper_bound(len(items))
+    items.remove(identity)
+    items.insert(0, identity)
     ids: dict = {}
     bits = [[1 << ids.setdefault(diff(a, b), len(ids)) for b in items] for a in items]
     # pair[c][y]: the bits of c - y and y - c, or 0 when the two coincide

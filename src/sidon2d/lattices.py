@@ -95,6 +95,7 @@ class Shape:
 
     @classmethod
     def rectangle(cls, width: int, height: int) -> "Shape":
+        width, height = as_ints((width, height), "rectangle sides", 2)
         if width < 1 or height < 1:
             raise ValueError(f"rectangle sides must be positive, got {width}x{height}")
         if width * height > MAX_RECTANGLE_CELLS:

@@ -21,11 +21,11 @@ from .groups import (
     sidon_upper_bound,
     verify_sidon,
 )
-from .numtheory import factorize, is_prime, partitions, prime_power, xgcd
+from .numtheory import as_ints, factorize, is_prime, partitions, prime_power, xgcd
 
 
 def _field_for(q: int, what: str, degree: int = 1) -> Field:
-    pp = prime_power(q)
+    pp = prime_power(as_ints(q, "q"))
     if pp is None:
         raise ValueError(f"{what} needs a prime power, got {q}")
     p, k = pp
@@ -38,7 +38,7 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
     The second coordinate is the coefficient vector of alpha^i, so the
     group order is q*(q-1) and the size meets the counting bound.
     """
-    if q < 3:
+    if as_ints(q, "q") < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     field = _field_for(q, "power pair construction")
     alpha = field.primitive_or_generator(alpha, "alpha")
@@ -50,7 +50,7 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
 def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
     """p-1 elements modulo p^2 - p: the pair construction pushed through
     the splitting Z_{p(p-1)} = Z_{p-1} x Z_p, written out directly."""
-    if p < 3 or not is_prime(p):
+    if as_ints(p, "p") < 3 or not is_prime(p):
         raise ValueError(f"need a prime p >= 3, got {p}")
     field = make_field(p)
     alpha = field.primitive_or_generator(alpha, "alpha")
@@ -97,29 +97,24 @@ def construct_singer(q: int) -> SidonSequence:
     return SidonSequence.from_ints(n, sorted(values))
 
 
-DEFAULT_SEARCH_CAP = 60
+SEARCH_CAP = 60
 
 
-def max_sidon_size(group: GroupSpec, cap: int = DEFAULT_SEARCH_CAP) -> tuple[int, tuple[Element, ...]]:
+def max_sidon_size(group: GroupSpec) -> tuple[int, tuple[Element, ...]]:
     """Exact maximum Sidon size over the group, with one witness.
 
     Any Sidon set translates to one containing the identity, so the
     search is anchored there; the witness is the lexicographically
     smallest maximum-size set containing the identity.
     """
-    n = group.order
-    if n > cap:
-        raise ValueError(f"group order {n} exceeds the search cap {cap}")
-    candidates = sorted(group.elements())
-    candidates.remove(group.identity())
-    return max_distinct_difference_set(
-        group.identity(), candidates, group.sub, sidon_upper_bound(n)
-    )
+    if group.order > SEARCH_CAP:
+        raise ValueError(f"group order {group.order} exceeds the search cap {SEARCH_CAP}")
+    return max_distinct_difference_set(group.identity(), group.elements(), group.sub)
 
 
 def abelian_group_specs(n: int) -> list[GroupSpec]:
     """One GroupSpec per isomorphism class of abelian groups of order n."""
-    if n < 1:
+    if as_ints(n, "group order") < 1:
         raise ValueError(f"group order must be positive, got {n}")
     if n == 1:
         return [GroupSpec((1,))]
@@ -133,7 +128,7 @@ def abelian_group_specs(n: int) -> list[GroupSpec]:
     return specs
 
 
-DEFAULT_BRUTE_CAP = 40
+BRUTE_CAP = 40
 
 
 @dataclass(frozen=True)
@@ -147,7 +142,7 @@ class OptimalityReport:
     verdict: str  # optimal-by-bound | optimal | unknown
 
 
-def check_optimality(seq: SidonSequence, brute_cap: int = DEFAULT_BRUTE_CAP) -> OptimalityReport:
+def check_optimality(seq: SidonSequence) -> OptimalityReport:
     """Grade a Sidon sequence: at the counting bound it is optimal by
     bound; otherwise exhaustive search over every abelian group of the
     same order (when small enough) can still certify optimality."""
@@ -157,8 +152,8 @@ def check_optimality(seq: SidonSequence, brute_cap: int = DEFAULT_BRUTE_CAP) -> 
     m = len(seq)
     bound = sidon_upper_bound(n)
     brute: int | None = None
-    if n <= brute_cap:
-        brute = max(max_sidon_size(g, cap=brute_cap)[0] for g in abelian_group_specs(n))
+    if n <= BRUTE_CAP:
+        brute = max(max_sidon_size(g)[0] for g in abelian_group_specs(n))
     if m == bound:
         verdict = "optimal-by-bound"
     elif brute is not None and m == brute:

@@ -106,6 +106,19 @@ def test_construct_parameter_validation():
     proc = run_cli("construct", "--family", "bose", "--q", "3", "--format", "ascii")
     assert proc.returncode == 1
     assert "only pattern families" in proc.stderr
+    # one error per call, the first of: size option, --beta, --alpha, --report
+    for argv, message in [
+        (["--family", "ruzsa", "--p", "7", "--beta", "3"], "--beta only applies to --family golomb"),
+        (["--family", "welch", "--p", "7", "--report"], "--report only applies to sequence families"),
+        (["--family", "bose"], "--family bose requires --q"),
+        (["--family", "bose", "--beta", "2"], "--family bose requires --q"),
+        (["--family", "singer", "--q", "3", "--alpha", "2", "--beta", "2"], "--beta only applies"),
+        (["--family", "welch", "--p", "7", "--beta", "3", "--report"], "--beta only applies"),
+    ]:
+        proc = run_cli("construct", *argv)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"error: {message}")
+        assert len(proc.stderr.splitlines()) == 1
 
 
 # -- verify -------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_pattern_validates_its_parts():
             Lattice(((2, 0), (0, 2))), Shape.rectangle(2, 2), frozenset({(5, 5)})
         )
     p = checkerboard()
-    assert p.volume == 4
+    assert p.lattice.volume == 4
     assert p.tiling.size == 4
 
 
@@ -332,7 +332,9 @@ def test_max_dots_small_cases():
 def test_max_dots_respects_the_cap():
     with pytest.raises(ValueError):
         max_ddc_dots(Lattice(((7, 0), (0, 8))), Shape.rectangle(7, 8))
-    assert max_ddc_dots(Lattice(((2, 0), (0, 2))), Shape.rectangle(2, 2), cap=4)[0] == 1
+    with pytest.raises(ValueError, match="volume 50 exceeds the search cap 49"):
+        max_ddc_dots(Lattice(((5, 0), (0, 10))))
+    assert max_ddc_dots(Lattice(((7, 0), (0, 7))))[0] == 7  # at the cap, and at the bound
 
 
 # -- rendering and serialisation -----------------------------------------------------------

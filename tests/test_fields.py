@@ -10,6 +10,11 @@ from sidon2d.fields import _poly_mulmod, _poly_powmod, _poly_trim
 from sidon2d.numtheory import factorize, prime_power
 
 
+def code(p: int, coeffs) -> int:
+    """The integer code of a coefficient vector, constant term first."""
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
 def naive_mul(field: Field, a: int, b: int) -> int:
     """Schoolbook polynomial product reduced by the field's monic modulus.
 
@@ -28,7 +33,7 @@ def naive_mul(field: Field, a: int, b: int) -> int:
             prod[deg] = 0
             for i, m in enumerate(field.modulus):
                 prod[deg - k + i] = (prod[deg - k + i] - c * m) % p
-    return field.from_coeffs(prod[:k])
+    return code(p, prod[:k])
 
 
 def oracle_tables(p: int, k: int, modulus) -> tuple[int, list[int], list]:
@@ -118,8 +123,8 @@ def test_gf25_and_gf27_canonical_moduli():
 @pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
 def test_mul_matches_naive_oracle_exhaustively(p, k):
     f = Field(p, k)
-    for a in f.elements():
-        for b in f.elements():
+    for a in range(f.order):
+        for b in range(f.order):
             assert f.mul(a, b) == naive_mul(f, a, b)
 
 
@@ -165,9 +170,13 @@ def test_tables_match_oracle_for_every_canonical_field_up_to_2_12():
     ],
 )
 def test_tables_match_oracle_for_explicit_moduli(p, k, modulus):
-    f = Field(p, k, modulus=modulus)
-    assert f.modulus != Field(p, k).modulus
-    assert_tables_match_oracle(f)
+    # the table build itself works over any irreducible modulus
+    assert fields._is_irreducible(modulus, p, k)
+    assert modulus != Field(p, k).modulus
+    mod = list(modulus) + [1]
+    gen = fields._find_generator(p, k, mod)
+    generator, exp, _ = oracle_tables(p, k, modulus)
+    assert (code(p, gen), fields._power_codes(p, k, mod, gen)) == (generator, exp)
 
 
 @pytest.mark.parametrize(
@@ -192,12 +201,13 @@ def test_table_build_rejects_a_non_primitive_generator(monkeypatch, p, k, elemen
 @pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3)])
 def test_addition_group_axioms(p, k):
     f = Field(p, k)
-    for a in f.elements():
+    for a in range(f.order):
         assert f.add(a, f.neg(a)) == 0
         assert f.add(a, 0) == a
-        for b in f.elements():
+        for b in range(f.order):
             assert f.add(a, b) == f.add(b, a)
             assert f.sub(a, b) == f.add(a, f.neg(b))
+            assert f.add(a, b) == code(p, [(x + y) % p for x, y in zip(f.coeffs(a), f.coeffs(b))])
 
 
 def test_distributivity_sampled():
@@ -214,9 +224,9 @@ def test_distributivity_sampled():
 def test_inverse_and_division():
     f = Field(3, 2)
     for a in range(1, f.order):
-        assert f.mul(a, f.inv(a)) == 1
+        assert f.mul(a, f.pow(a, -1)) == 1
     with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        f.pow(0, -1)
 
 
 def test_pow_edge_cases():
@@ -224,7 +234,7 @@ def test_pow_edge_cases():
     assert f.pow(3, 0) == 1
     assert f.pow(0, 0) == 1  # empty product convention
     assert f.pow(0, 5) == 0
-    assert f.pow(3, -1) == f.inv(3)
+    assert f.pow(3, -1) == 5  # 3 * 5 = 15 = 1 mod 7
     assert f.pow(3, 6) == 1
     with pytest.raises(ZeroDivisionError):
         f.pow(0, -2)
@@ -266,33 +276,13 @@ def test_rejects_bad_parameters():
         Field(2, 0)
     with pytest.raises(ValueError):
         Field(2, 21)  # 2^21 exceeds the order cap
-    with pytest.raises(ValueError):
-        Field(2, 2, modulus=(1,))  # wrong length
-    with pytest.raises(ValueError):
-        Field(2, 2, modulus=(0, 0))  # x^2 is reducible
-    with pytest.raises(ValueError):
-        Field(2, 2, modulus=(1, 0))  # x^2 + 1 = (x+1)^2 over GF(2)
-
-
-def test_explicit_modulus_is_honoured():
-    f = Field(2, 3, modulus=(1, 1, 0))  # x^3 + x + 1
-    assert f.modulus == (1, 1, 0)
-    assert f != Field(2, 3)
-    # same abstract field, different coordinates: orders agree
-    assert sorted(f.element_order(x) for x in range(1, 8)) == sorted(
-        Field(2, 3).element_order(x) for x in range(1, 8)
-    )
 
 
 def test_coeffs_round_trip_and_validation():
     f = Field(3, 2)
-    for x in f.elements():
-        assert f.from_coeffs(f.coeffs(x)) == x
+    for x in range(f.order):
+        assert code(3, f.coeffs(x)) == x
     assert f.coeffs(5) == (2, 1)  # 5 = 2 + 1*3
-    with pytest.raises(ValueError):
-        f.from_coeffs((1,))
-    with pytest.raises(ValueError):
-        f.from_coeffs((3, 0))
     with pytest.raises(ValueError):
         f.coeffs(9)
     with pytest.raises(ValueError):

@@ -22,7 +22,7 @@ from sidon2d import (
     verify_sidon_sums,
     verify_weak_sidon,
 )
-from sidon2d.groups import _first_difference_collision
+from sidon2d.groups import first_difference_collision
 
 # -- oracles ------------------------------------------------------------------
 
@@ -128,7 +128,7 @@ def patterns(draw):
 @example(SidonSequence.from_ints(1, [0]))
 @settings(max_examples=300, deadline=None)
 def test_sequence_scans_match_their_oracles(seq):
-    assert _first_difference_collision(seq) == oracle_difference_collision(seq)
+    assert first_difference_collision(seq.elements, seq.group.sub) == oracle_difference_collision(seq)
     assert verify_sidon_sums(seq) == oracle_sum_collision(seq, combinations_with_replacement)
     assert verify_weak_sidon(seq) == oracle_sum_collision(seq, combinations)
 

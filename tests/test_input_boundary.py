@@ -27,13 +27,21 @@ from sidon2d import (
     Shape,
     SidonSequence,
     Tiling,
+    abelian_group_specs,
     cli,
+    construct_bose,
+    construct_golomb,
+    construct_power_pairs,
+    construct_ruzsa,
+    construct_singer,
     construct_welch,
     defines_folding_gcd,
     fold,
     fundamental_shape,
     is_ddc,
+    make_field,
     minimal_period,
+    sidon_upper_bound,
     unfold,
     unfold_to_sidon,
 )
@@ -105,9 +113,22 @@ def test_library_inputs_reject_non_integers(bad):
         lambda: SidonSequence(GroupSpec((7,)), [(0,), (bad,)]),
         lambda: SidonSequence.from_ints(7, [0, bad]),
         lambda: SidonSequence.from_ints(bad, [0]),
-        lambda: Field(2, 2, modulus=(1, bad)),
         lambda: Field(3).add(1, bad),
-        lambda: Field(3, 2).from_coeffs((1, bad)),
+        lambda: Field(bad, 2),
+        lambda: Field(3, bad),
+        lambda: make_field(bad, 3),
+        lambda: (make_field(7, 1), make_field(7, bad)),  # (7, True) must miss (7, 1)
+        lambda: Field(7).pow(3, bad),
+        lambda: construct_welch(bad),
+        lambda: construct_golomb(bad),
+        lambda: construct_ruzsa(bad),
+        lambda: construct_power_pairs(bad),
+        lambda: construct_bose(bad),
+        lambda: construct_singer(bad),
+        lambda: Shape.rectangle(bad, 4),
+        lambda: Shape.rectangle(4, bad),
+        lambda: sidon_upper_bound(bad),
+        lambda: abelian_group_specs(bad),
         lambda: is_ddc([(0, 0), (bad, 2)]),
         lambda: minimal_period(WELCH7.lattice, WELCH7.shape, [(bad, 0)]),
         lambda: unfold({c: c for c in WELCH7.shape.points}, WELCH7, (bad, 1)),
@@ -123,7 +144,6 @@ def test_library_inputs_reject_non_integers(bad):
 def test_valid_values_are_reduced_not_rejected():
     assert GroupSpec((6,)).normalize((-1,)) == (5,)
     assert SidonSequence.from_ints(6, [7, 3]).as_ints() == [1, 3]
-    assert Field(2, 2, modulus=(3, 1)).modulus == (1, 1)
     assert Lattice([[2, 1], [0, 4]]).rows == ((2, 1), (0, 4))
     assert fundamental_shape(Lattice([[2, 1], [0, 4]])).size == 8
 

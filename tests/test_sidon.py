@@ -182,11 +182,9 @@ def test_max_sidon_matches_the_subset_filter():
 
 
 def test_max_sidon_respects_the_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="order 61 exceeds the search cap 60"):
         max_sidon_size(GroupSpec((61,)))
-    with pytest.raises(ValueError):
-        max_sidon_size(GroupSpec((13,)), cap=12)
-    assert max_sidon_size(GroupSpec((13,)), cap=13)[0] == 4
+    assert max_sidon_size(GroupSpec((13,)))[0] == 4
 
 
 def test_max_sidon_never_exceeds_the_counting_bound():
@@ -243,9 +241,10 @@ def test_report_above_brute_cap_leaves_verdict_open():
     r = check_optimality(SidonSequence.from_ints(44, [0, 1]))
     assert r.brute_force_max is None
     assert r.verdict == "unknown"
-    capped = check_optimality(SidonSequence.from_ints(22, [0, 1, 3, 7]), brute_cap=10)
+    capped = check_optimality(SidonSequence.from_ints(43, [0, 1, 3, 7]))
     assert capped.brute_force_max is None
     assert capped.verdict == "unknown"
+    assert check_optimality(SidonSequence.from_ints(40, [0, 1, 3, 7])).brute_force_max == 6
 
 
 def test_report_on_large_bound_meeting_sequence_skips_brute_force():

@@ -8,6 +8,9 @@
   `cli.py`, which parses argv strings: `int()` truncates floats and
   accepts bools and numeric strings, so outside values are read by
   `as_ints` alone.
+- Only `groups.py` calls `first_collision`: every distinctness scan,
+  over sequences and patterns alike, lives in that one module, so no
+  other module grows a loop of its own.
 - The names `__init__.py` imports are exactly `__all__` (less
   `__version__`), so removing an export means removing it from both.
 - Every exported name has a docstring of its own.
@@ -26,6 +29,16 @@ INT_READERS = {"numtheory.py", "cli.py"}
 
 def parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(), filename=str(path))
+
+
+def calls_to(path: Path, name: str) -> list[int]:
+    """Lines that call `name(...)` or `<anything>.name(...)`."""
+    return [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        and (node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)) == name
+    ]
 
 
 def test_the_package_sources_are_found():
@@ -55,12 +68,14 @@ def test_no_private_imports_between_modules(path):
     "path", [p for p in SOURCES if p.name not in INT_READERS], ids=lambda p: p.name
 )
 def test_no_int_conversions_outside_the_boundary(path):
-    lines = [
-        node.lineno
-        for node in ast.walk(parse(path))
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "int"
-    ]
+    lines = calls_to(path, "int")
     assert lines == [], f"{path.name} calls int() on lines {lines}; read values with as_ints"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "groups.py"], ids=lambda p: p.name)
+def test_no_collision_scans_outside_groups(path):
+    lines = calls_to(path, "first_collision")
+    assert lines == [], f"{path.name} calls first_collision on lines {lines}; use groups' scans"
 
 
 def test_the_package_exports_exactly_what_it_imports():
