@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .fields import make_field
-from .folding import Direction, fold, unfold
+from .folding import Direction, folded_cells
 from .groups import (
     Collision,
     SidonSequence,
@@ -61,11 +61,18 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
 
     Differences are compared as cosets and reported as shape cells, so a
     collision here is exactly two segments that coincide in some pair of
-    copies of the replicated pattern.
+    copies of the replicated pattern.  All n^2 differences are reduced
+    in one batch; only a pattern with a repeat is scanned in order.
     """
+    dots = sorted(pattern.dots)
+    n = len(dots)
+    differences = pattern.tiling.cells((x - u, y - v) for x, y in dots for u, v in dots)
+    # distinct: n * (n - 1) cells, and the n zero differences on the origin
+    if n == 0 or len(set(differences)) == n * (n - 1) + 1:
+        return None
     representative = pattern.tiling.representative
     return first_difference_collision(
-        sorted(pattern.dots), lambda a, b: representative((a[0] - b[0], a[1] - b[1]))
+        dots, lambda a, b: representative((a[0] - b[0], a[1] - b[1]))
     )
 
 
@@ -146,9 +153,9 @@ def unfold_to_sidon(
         raise ValueError(f"anchor {anchor} is not a dot")
     tiling = pattern.tiling
     ax, ay = anchor
-    translated = {tiling.representative((x - ax, y - ay)) for x, y in pattern.dots}
-    bits = unfold({cell: cell in translated for cell in pattern.shape.points}, tiling, direction)
-    return SidonSequence.from_ints(tiling.size, [t for t, b in enumerate(bits) if b])
+    translated = set(tiling.cells((x - ax, y - ay) for x, y in pattern.dots))
+    row = folded_cells(tiling, direction, range(tiling.size))
+    return SidonSequence.from_ints(tiling.size, [t for t, cell in enumerate(row) if cell in translated])
 
 
 def fold_sidon_to_ddc(
@@ -165,11 +172,10 @@ def fold_sidon_to_ddc(
     tiling = pattern.tiling
     if verify_sidon(seq) is not None:
         raise ValueError("sequence is not Sidon")
-    members = set(seq.as_ints())
-    array = fold([t in members for t in range(tiling.size)], tiling, direction)
     # Folded dots are shape cells, and the pattern is not shared yet, so
     # it takes them as they are instead of building its tiling again.
-    object.__setattr__(pattern, "dots", frozenset(cell for cell, b in array.items() if b))
+    dots = folded_cells(tiling, direction, seq.as_ints())
+    object.__setattr__(pattern, "dots", frozenset(dots))
     return pattern
 
 

@@ -12,7 +12,7 @@ step-by-step walk as the reference it is checked against.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattices import Lattice, Point, Tiling
 from .numtheory import as_ints, euler_phi
@@ -27,6 +27,13 @@ def _check_direction(direction: Direction) -> Direction:
     return d
 
 
+def _folds(rows: tuple[Point, Point], size: int, d1: int, d2: int) -> bool:
+    """The gcd criterion on plain ints the caller has already checked."""
+    (v11, v12), (v21, v22) = rows
+    tau = math.gcd(d1, d2)
+    return math.gcd(d1 * v22 - d2 * v21, d2 * v11 - d1 * v12) == tau and math.gcd(tau, size) == 1
+
+
 def defines_folding_gcd(lattice: Lattice, size: int, direction: Direction) -> bool:
     """Closed-form folding test from the basis entries alone.
 
@@ -38,9 +45,7 @@ def defines_folding_gcd(lattice: Lattice, size: int, direction: Direction) -> bo
     d1, d2 = _check_direction(direction)
     if size <= 0 or size != lattice.volume:
         raise ValueError(f"size {size} does not match the lattice volume {lattice.volume}")
-    (v11, v12), (v21, v22) = lattice.rows
-    tau = math.gcd(d1, d2)
-    return math.gcd(d1 * v22 - d2 * v21, d2 * v11 - d1 * v12) == tau and math.gcd(tau, size) == 1
+    return _folds(lattice.rows, size, d1, d2)
 
 
 def folding_directions(tiling: Tiling) -> list[Direction]:
@@ -56,29 +61,31 @@ def folding_directions(tiling: Tiling) -> list[Direction]:
     n = tiling.size
     if n == 1:
         return [(0, 1)]  # every direction folds the single cell
+    # A tiling's size is its lattice's volume, checked once when it was
+    # built, so the cells below go to the kernel as plain ints.
     (a, _), (_, d) = tiling.lattice.hnf
-    cells = ((x, y) for x in range(a) for y in range(d) if x or y)
-    out = [c for c in cells if defines_folding_gcd(tiling.lattice, n, c)]
+    rows = tiling.lattice.rows
+    out = [(x, y) for x in range(a) for y in range(d) if (x or y) and _folds(rows, n, x, y)]
     if out and len(out) != euler_phi(n):
         raise RuntimeError(f"{len(out)} folding directions, expected phi({n}) = {euler_phi(n)}")
     return out
 
 
-def _folded_row(tiling: Tiling, direction: Direction) -> list[Point]:
-    """The shape cells congruent to t*d for t = 0..|S|-1; raises unless
-    d folds, which is what makes them all distinct."""
+def folded_cells(tiling: Tiling, direction: Direction, positions: Iterable[int]) -> list[Point]:
+    """The shape cells congruent to t*d for the given positions t of the
+    row; raises unless d folds, which makes the cells of t = 0..|S|-1
+    all distinct."""
     if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
         raise ValueError(f"direction {direction} does not define a folding")
     d1, d2 = direction
-    representative = tiling.representative
-    return [representative((t * d1, t * d2)) for t in range(tiling.size)]
+    return tiling.cells((t * d1, t * d2) for t in positions)
 
 
 def fold(
     seq: Sequence[Hashable], tiling: Tiling, direction: Direction
 ) -> dict[Point, Hashable]:
     """Lay a length-|S| sequence onto the shape along the folded row."""
-    row = _folded_row(tiling, direction)
+    row = folded_cells(tiling, direction, range(tiling.size))
     if len(seq) != tiling.size:
         raise ValueError(f"sequence length {len(seq)} != shape size {tiling.size}")
     return dict(zip(row, seq))
@@ -88,7 +95,7 @@ def unfold(
     array: Mapping[Point, Hashable], tiling: Tiling, direction: Direction
 ) -> list[Hashable]:
     """Read the shape's cells back into a sequence along the folded row."""
-    row = _folded_row(tiling, direction)
+    row = folded_cells(tiling, direction, range(tiling.size))
     if set(array) != tiling.shape.points:
         raise ValueError("array cells do not match the shape")
     return [array[cell] for cell in row]

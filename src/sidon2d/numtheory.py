@@ -19,6 +19,17 @@ def as_ints(value: Any, what: str, *lengths: int | None) -> Any:
     quoting the offending level.  This is the package's one reader of
     integers from JSON, argv and library arguments.
     """
+    # fast paths for the common cases: an exact int, a flat tuple of them
+    kind = type(value)
+    if kind is int:
+        if not lengths:
+            return value
+    elif kind is tuple and len(lengths) == 1 and (lengths[0] is None or lengths[0] == len(value)):
+        for c in value:
+            if type(c) is not int:  # bools fail: their type is bool
+                break
+        else:
+            return value
     if lengths:
         try:
             items = tuple(value)
@@ -43,9 +54,11 @@ def as_ints(value: Any, what: str, *lengths: int | None) -> Any:
                         if _INT.issuperset(map(type, chain.from_iterable(rows))):
                             return rows
                     # one item at a time, which raises naming the first bad one
-                    return tuple([as_ints(v, what, *lengths[1:]) for v in items])
-    elif type(value) is int:
-        return value
+                    # (a loop: a comprehension would cost every call two cells)
+                    out = []
+                    for v in items:
+                        out.append(as_ints(v, what, *lengths[1:]))
+                    return tuple(out)
     words = ["pairs of" if n == 2 else "lists of" if n is None else f"lists of {n}" for n in lengths]
     expected = " ".join(["a", *words, "integers"]).replace("s of", " of", 1) if lengths else "an integer"
     raise ValueError(f"malformed {what}: expected {expected}, got {reprlib.repr(value)}")

@@ -88,6 +88,10 @@ def test_as_ints_returns_tuples_of_the_same_ints():
         (5, (None, 2), "expected a list of pairs of integers, got 5"),
         ([[2, 0], [0, 2.5]], (2, 2), "expected a pair of integers, got [0, 2.5]"),
         ([[2, 0]], (2, 2), "expected a pair of pairs of integers"),
+        ((1, True), (2,), "expected a pair of integers, got (1, True)"),
+        ((1, 2, 3), (2,), "expected a pair of integers, got (1, 2, 3)"),
+        ((0, "1"), (None,), "expected a list of integers, got (0, '1')"),
+        ((0, 1), (), "expected an integer, got (0, 1)"),
     ],
 )
 def test_as_ints_rejects_and_names_the_bad_level(value, lengths, message):

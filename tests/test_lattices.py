@@ -137,6 +137,32 @@ def test_tiling_requires_matching_size():
         Tiling(Lattice(((2, 1), (1, 2))), TROMINO)
 
 
+def test_a_transposed_box_of_the_right_size_does_not_tile():
+    # 3 x 2 has the volume of 2 x 3, but cells (0, 0) and (2, 0) share a coset
+    with pytest.raises(ValueError, match="does not tile"):
+        Tiling(Lattice(((2, 0), (0, 3))), Shape.rectangle(3, 2))
+    with pytest.raises(ValueError, match="does not tile"):
+        Tiling(Lattice(((2, 1), (0, 3))), Shape.rectangle(3, 2))
+
+
+def test_a_shifted_box_reduces_into_its_own_cells():
+    # the 2 x 3 box moved one column left: a transversal, not the
+    # fundamental rectangle, so its cells are looked up, not computed
+    shape = Shape(frozenset((x, y) for x in (-1, 0) for y in range(3)))
+    tiling = Tiling(Lattice(((2, 0), (0, 3))), shape)
+    assert tiling.representative((1, 4)) == (-1, 1)
+    assert tiling.cells([(1, 4), (2, 2), (0, 0)]) == [(-1, 1), (0, 2), (0, 0)]
+
+
+def test_rectangle_cells_and_json_order():
+    box = Shape.rectangle(3, 2)
+    assert box.points == {(x, y) for x in range(3) for y in range(2)}
+    assert box.to_json() == [list(p) for p in sorted(box.points)]
+    shifted = Shape(frozenset((x, y) for x in (-1, 0) for y in (-2, -1, 0)))
+    assert shifted.to_json() == [list(p) for p in sorted(shifted.points)]
+    assert TROMINO.to_json() == [[0, 0], [0, 1], [1, 0]]
+
+
 def test_fundamental_shape_always_tiles():
     rng = random.Random(3)
     cases = 0
