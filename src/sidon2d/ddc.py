@@ -61,14 +61,21 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
 
     Differences are compared as cosets and reported as shape cells, so a
     collision here is exactly two segments that coincide in some pair of
-    copies of the replicated pattern.  All n^2 differences are reduced
-    in one batch; only a pattern with a repeat is scanned in order.
+    copies of the replicated pattern.  Differences are reduced one row
+    at a time, a - b for one dot a over every dot b.  While none repeats
+    a row adds n - 1 new cells besides the zero difference, so a pattern
+    with a repeat stops within about |S| + n cells (pigeonhole), and only
+    then is it scanned in order for the witness.
     """
     dots = sorted(pattern.dots)
     n = len(dots)
-    differences = pattern.tiling.cells((x - u, y - v) for x, y in dots for u, v in dots)
-    # distinct: n * (n - 1) cells, and the n zero differences on the origin
-    if n == 0 or len(set(differences)) == n * (n - 1) + 1:
+    cells = pattern.tiling.cells
+    seen: set[Point] = set()
+    for count, (x, y) in enumerate(dots, 1):
+        seen.update(cells([(x - u, y - v) for u, v in dots]))
+        if len(seen) != count * (n - 1) + 1:
+            break
+    else:
         return None
     representative = pattern.tiling.representative
     return first_difference_collision(

@@ -20,7 +20,7 @@ from .numtheory import as_ints, xgcd
 Point = tuple[int, int]
 
 # The field order limit, so Bose q = 1024 fits.  Slowest at the cap: `fold` of
-# that sequence onto 1023,0;0,1025, 3.8-4.3 s cold, 251 MB (2-vCPU Xeon, Python 3.11).
+# that sequence onto 1023,0;0,1025, 5.6 s cold, 251 MB (2-vCPU Xeon, Python 3.11).
 MAX_RECTANGLE_CELLS = 1 << 20
 
 
@@ -98,10 +98,7 @@ class Shape:
             raise ValueError(f"rectangle sides must be positive, got {width}x{height}")
         if width * height > MAX_RECTANGLE_CELLS:
             raise ValueError(f"rectangle {width}x{height} is over the {MAX_RECTANGLE_CELLS}-cell cap")
-        # cells built here from checked sides: no need to read them again
-        shape = cls.__new__(cls)
-        object.__setattr__(shape, "points", frozenset(product(range(width), range(height))))
-        return shape
+        return cls(frozenset(product(range(width), range(height))))
 
     @property
     def size(self) -> int:
@@ -169,12 +166,10 @@ class Tiling:
 
     def cells(self, points: Iterable[Point]) -> list[Point]:
         """The cell of the shape congruent to each point, in order."""
-        (a, b), (_, d) = self.lattice.hnf
-        # Lattice.coset_key, written out for the whole batch
+        keys = map(self.lattice.coset_key, points)
         if self._cell_of_key is None:
-            return [(x % a, (y - x // a * b) % d) for x, y in points]
-        cell_of_key = self._cell_of_key
-        return [cell_of_key[x % a, (y - x // a * b) % d] for x, y in points]
+            return list(keys)
+        return list(map(self._cell_of_key.__getitem__, keys))
 
 
 def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Lattice:

@@ -19,20 +19,12 @@ def as_ints(value: Any, what: str, *lengths: int | None) -> Any:
     quoting the offending level.  This is the package's one reader of
     integers from JSON, argv and library arguments.
     """
-    # fast paths for the common cases: an exact int, a flat tuple of them
     kind = type(value)
-    if kind is int:
-        if not lengths:
-            return value
-    elif kind is tuple and len(lengths) == 1 and (lengths[0] is None or lengths[0] == len(value)):
-        for c in value:
-            if type(c) is not int:  # bools fail: their type is bool
-                break
-        else:
-            return value
+    if kind is int and not lengths:  # the common case first
+        return value
     if lengths:
         try:
-            items = tuple(value)
+            items = value if kind is tuple else tuple(value)
         except TypeError:
             pass  # not iterable
         else:

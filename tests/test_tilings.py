@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from sidon2d import Lattice, PeriodicDdc, Shape, fundamental_shape, is_doubly_periodic_ddc
 from sidon2d.folding import folded_cells, folding_directions
-from sidon2d.groups import Collision
+from sidon2d.groups import Collision, first_difference_collision
 from sidon2d.lattices import Tiling
 
 from folding_oracle import folded_row
@@ -95,6 +95,29 @@ def patterns(draw):
 @settings(max_examples=200, deadline=None)
 def test_periodic_ddc_check_matches_the_ordered_scan(pattern):
     assert is_doubly_periodic_ddc(pattern) == ordered_scan(pattern)
+
+
+def test_a_dense_pattern_stops_within_two_rows_of_differences():
+    # every cell a dot: the second row of differences already repeats, so
+    # the check reduces 2n of the n^2 differences before its ordered scan
+    shape = Shape.rectangle(300, 300)
+    pattern = PeriodicDdc(Lattice(((300, 0), (0, 300))), shape, shape.points)
+    tiling = pattern.tiling
+    reduced = []
+
+    def counted_cells(pts):
+        cells = Tiling.cells(tiling, pts)
+        reduced.append(len(cells))
+        return cells
+
+    tiling.cells = counted_cells
+    collision = is_doubly_periodic_ddc(pattern)
+    dots = sorted(shape.points)
+    assert sum(reduced) == 2 * len(dots)
+    assert collision == first_difference_collision(
+        dots, lambda a, b: tiling.representative((a[0] - b[0], a[1] - b[1]))
+    )
+    assert collision.key == (0, 1)
 
 
 @given(tilings())
