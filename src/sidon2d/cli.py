@@ -14,6 +14,7 @@ import sys
 from dataclasses import asdict
 
 from .ddc import (
+    PeriodicDdc,
     construct_golomb,
     construct_welch,
     fold_sidon_to_ddc,
@@ -21,7 +22,6 @@ from .ddc import (
     is_doubly_periodic_ddc,
     max_ddc_dots,
     pattern_from_json,
-    pattern_to_json,
     render_ascii,
     unfold_to_sidon,
 )
@@ -107,6 +107,24 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
+def _shape_json(shape: Shape) -> str:
+    """json.dumps(shape.to_json()), a box written one column of cells at
+    a time as text, with no list object per cell."""
+    x0, y0, x1, y1 = shape.bounds()
+    if shape.size != (x1 - x0 + 1) * (y1 - y0 + 1):
+        return json.dumps(shape.to_json())
+    ys = [str(y) for y in range(y0, y1 + 1)]
+    columns = (f"[{x}, " + f"], [{x}, ".join(ys) + "]" for x in range(x0, x1 + 1))
+    return "[" + ", ".join(columns) + "]"
+
+
+def _emit_pattern(pattern: PeriodicDdc) -> None:
+    """_emit(pattern_to_json(pattern)), the shape spliced in by _shape_json."""
+    lattice = json.dumps(pattern.lattice.to_json())
+    dots = json.dumps([list(d) for d in sorted(pattern.dots)])
+    print(f'{{"lattice": {lattice}, "shape": {_shape_json(pattern.shape)}, "dots": {dots}}}')
+
+
 def _element_json(element: tuple[int, ...], rank: int):
     return element[0] if rank == 1 else list(element)
 
@@ -140,7 +158,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     if args.format == "ascii":
         print(render_ascii(built))
     elif pattern:
-        _emit(pattern_to_json(built))
+        _emit_pattern(built)
     elif args.report:
         _emit({"sequence": sequence_to_json(built), "optimality": asdict(check_optimality(built))})
     else:
@@ -183,8 +201,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
     # the default shape is left to the fold, which checks the sequence first
     shape = None if args.shape is None else _parse_shape(args.shape, lattice)
     direction = _parse_ints(args.direction, "direction")
-    pattern = fold_sidon_to_ddc(seq, lattice, shape, direction)
-    _emit(pattern_to_json(pattern))
+    _emit_pattern(fold_sidon_to_ddc(seq, lattice, shape, direction))
     return 0
 
 

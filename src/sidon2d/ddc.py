@@ -14,16 +14,17 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .fields import make_field
-from .folding import Direction, folded_cells
+from .folding import Direction, folded_cells, folded_positions
 from .groups import (
     Collision,
     SidonSequence,
+    differences_distinct,
     first_difference_collision,
     max_distinct_difference_set,
     verify_sidon,
 )
 from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
-from .numtheory import as_ints, is_prime, prime_power
+from .numtheory import as_ints, at_most, is_prime, prime_power
 
 
 def is_ddc(dots: Iterable[Point]) -> Collision | None:
@@ -36,9 +37,10 @@ def is_ddc(dots: Iterable[Point]) -> Collision | None:
 class PeriodicDdc:
     """One fundamental copy of a doubly periodic dot pattern.
 
-    The lattice and shape must tile; the dots live on shape cells.  As
-    with SidonSequence, the name states intent: whether the pattern
-    really is a periodic DDC is checked separately.
+    The lattice and shape must tile; the dots live on shape cells, so
+    there are at most as many as cells.  As with SidonSequence, the name
+    states intent: whether the pattern really is a periodic DDC is
+    checked separately.
     """
 
     lattice: Lattice
@@ -48,8 +50,10 @@ class PeriodicDdc:
 
     def __post_init__(self) -> None:
         tiling = Tiling(self.lattice, self.shape)  # raises unless it tiles
-        dots = frozenset(as_ints(self.dots, "dots", None, 2))
-        outside = dots - self.shape.points
+        size = self.shape.size
+        dots = at_most(size, self.dots, f"more dots than the {size} cells of the shape")
+        dots = frozenset(as_ints(dots, "dots", None, 2))
+        outside = [d for d in dots if d not in self.shape]
         if outside:
             raise ValueError(f"dots outside the shape: {sorted(outside)}")
         object.__setattr__(self, "dots", dots)
@@ -61,21 +65,16 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
 
     Differences are compared as cosets and reported as shape cells, so a
     collision here is exactly two segments that coincide in some pair of
-    copies of the replicated pattern.  Differences are reduced one row
-    at a time, a - b for one dot a over every dot b.  While none repeats
-    a row adds n - 1 new cells besides the zero difference, so a pattern
-    with a repeat stops within about |S| + n cells (pigeonhole), and only
-    then is it scanned in order for the witness.
+    copies of the replicated pattern.  The lattice's phi is an
+    isomorphism from Z^2 modulo the lattice onto Z_m1 x Z_m2, so the
+    differences are distinct exactly when those of the dots' images are,
+    which groups.differences_distinct checks a row of differences at a
+    time: a pattern with a repeat stops within about |S| + n of them
+    (pigeonhole).  Only then is it scanned in order for the witness.
     """
     dots = sorted(pattern.dots)
-    n = len(dots)
-    cells = pattern.tiling.cells
-    seen: set[Point] = set()
-    for count, (x, y) in enumerate(dots, 1):
-        seen.update(cells([(x - u, y - v) for u, v in dots]))
-        if len(seen) != count * (n - 1) + 1:
-            break
-    else:
+    lattice = pattern.lattice
+    if differences_distinct(lattice.moduli, [lattice.phi(p) for p in dots]):
         return None
     representative = pattern.tiling.representative
     return first_difference_collision(
@@ -151,18 +150,17 @@ def unfold_to_sidon(
     """Read the dots off along the folded row as a subset of Z_{|S|}.
 
     The pattern is first translated so the anchor dot (lower-left by
-    default) sits on the origin; dots pushed out of the shape re-enter
-    through the lattice.
+    default) sits on the origin; each dot is then the position t whose
+    row cell t*d is congruent to it, found without building the row.
     """
     if anchor is None:
         anchor = lower_left_dot(pattern)
     elif as_ints(anchor, "anchor", 2) not in pattern.dots:
         raise ValueError(f"anchor {anchor} is not a dot")
-    tiling = pattern.tiling
     ax, ay = anchor
-    translated = set(tiling.cells((x - ax, y - ay) for x, y in pattern.dots))
-    row = folded_cells(tiling, direction, range(tiling.size))
-    return SidonSequence.from_ints(tiling.size, [t for t, cell in enumerate(row) if cell in translated])
+    shifted = [(x - ax, y - ay) for x, y in pattern.dots]
+    positions = folded_positions(pattern.tiling, direction, shifted)
+    return SidonSequence.from_ints(pattern.tiling.size, positions)
 
 
 def fold_sidon_to_ddc(
@@ -218,7 +216,7 @@ def render_ascii(pattern: PeriodicDdc) -> str:
         for x in range(min_x, max_x + 1):
             if (x, y) in pattern.dots:
                 row.append("•")
-            elif (x, y) in pattern.shape.points:
+            elif (x, y) in pattern.shape:
                 row.append(".")
             else:
                 row.append(" ")

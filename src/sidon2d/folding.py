@@ -6,7 +6,9 @@ direction "defines a folding": the row of cells is a bijection between
 sequence positions 0..|S|-1 and shape cells, and fold/unfold transport
 symbols across it in both directions.  Whether a direction folds is
 decided in closed form by `defines_folding_gcd`; the tests keep the
-step-by-step walk as the reference it is checked against.
+step-by-step walk as the reference it is checked against.  Cells of the
+row come from the coset formula, and positions of cells from the
+lattice's map phi onto the cyclic quotient Z_|S|.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from typing import Hashable, Iterable, Mapping, Sequence
 
 from .lattices import Lattice, Point, Tiling
-from .numtheory import as_ints, euler_phi
+from .numtheory import as_ints, euler_phi, modinv
 
 Direction = tuple[int, int]
 
@@ -71,14 +73,30 @@ def folding_directions(tiling: Tiling) -> list[Direction]:
     return out
 
 
+def _folding(tiling: Tiling, direction: Direction) -> Direction:
+    """The checked direction; raises unless it folds the tiling."""
+    d = _check_direction(direction)
+    if not defines_folding_gcd(tiling.lattice, tiling.size, d):
+        raise ValueError(f"direction {direction} does not define a folding")
+    return d
+
+
 def folded_cells(tiling: Tiling, direction: Direction, positions: Iterable[int]) -> list[Point]:
     """The shape cells congruent to t*d for the given positions t of the
     row; raises unless d folds, which makes the cells of t = 0..|S|-1
     all distinct."""
-    if not defines_folding_gcd(tiling.lattice, tiling.size, direction):
-        raise ValueError(f"direction {direction} does not define a folding")
-    d1, d2 = direction
+    d1, d2 = _folding(tiling, direction)
     return tiling.cells((t * d1, t * d2) for t in positions)
+
+
+def folded_positions(tiling: Tiling, direction: Direction, points: Iterable[Point]) -> list[int]:
+    """The inverse of folded_cells: the position t whose cell t*d is
+    congruent to each point; raises unless d folds.  A folding d generates
+    Z^2 modulo the lattice, so phi maps onto Z_|S| and t = phi(p) / phi(d)."""
+    phi, n = tiling.lattice.phi, tiling.size
+    (step,) = phi(_folding(tiling, direction))
+    inverse = modinv(step, n)
+    return [phi(p)[0] * inverse % n for p in points]
 
 
 def fold(

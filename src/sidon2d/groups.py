@@ -134,13 +134,15 @@ def first_collision(keyed_pairs: Iterable[tuple[Hashable, Any]]) -> Collision | 
 
 def verify_sidon(seq: SidonSequence) -> Collision | None:
     """First collision among ordered differences of distinct elements, if any."""
-    if _differences_distinct(seq.group.moduli, seq.elements):
+    if differences_distinct(seq.group.moduli, seq.elements):
         return None
     return first_difference_collision(seq.elements, seq.group.sub)
 
 
-def _differences_distinct(moduli: tuple[int, ...], elements: tuple[Element, ...]) -> bool:
-    """Whether all ordered differences of distinct elements are distinct.
+def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> bool:
+    """Whether all ordered differences of distinct elements are distinct:
+    the fast path of verify_sidon, and of the periodic-DDC check on a
+    pattern's dots mapped into Z^2 modulo its lattice by Lattice.phi.
 
     Each element is packed into one int, component i in slot i of s bits
     under a flag bit, with 2^s above every modulus.  Slot i of a + (M - b)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import reprlib
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Iterator
 
 _INT = frozenset([int])
@@ -54,6 +54,21 @@ def as_ints(value: Any, what: str, *lengths: int | None) -> Any:
     words = ["pairs of" if n == 2 else "lists of" if n is None else f"lists of {n}" for n in lengths]
     expected = " ".join(["a", *words, "integers"]).replace("s of", " of", 1) if lengths else "an integer"
     raise ValueError(f"malformed {what}: expected {expected}, got {reprlib.repr(value)}")
+
+
+def at_most(cap: int, items: Any, error: str) -> Any:
+    """The items, refused with ValueError(error) when there are more than
+    cap of them, counted before any item is read.  An iterable without a
+    length is read up to item cap + 1 only; a value that is not iterable
+    is returned as it is, for as_ints to name."""
+    if not hasattr(items, "__len__"):
+        try:
+            items = tuple(islice(items, cap + 1))
+        except TypeError:
+            return items
+    if len(items) > cap:
+        raise ValueError(error)
+    return items
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

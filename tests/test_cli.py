@@ -252,6 +252,49 @@ def test_fold_builds_one_tiling(monkeypatch, capsys):
     assert built == [((6, 0), (0, 7))]
 
 
+def test_the_welch_chain_never_builds_box_cells(monkeypatch, capsys):
+    # construct, verify, unfold and fold the Welch p = 331 pattern in
+    # process, its JSON going from one command to the next: a box shape
+    # answers from its bounds, so none of its 109,230 cells is built
+    real_points = Shape.points
+
+    def guarded(shape):
+        if shape._box is not None:
+            raise AssertionError("the cells of a box shape were built")
+        return real_points.fget(shape)
+
+    monkeypatch.setattr(Shape, "points", property(guarded))
+
+    def run(argv, stdin=""):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        return out
+
+    welch = run(["construct", "--family", "welch", "--p", "331"])
+    assert run(["verify", "--kind", "periodic-ddc"], welch) == '{"ok": true}\n'
+    sequence = run(["unfold", "--direction", "1,1"], welch)
+    assert len(json.loads(sequence)["elements"]) == 330
+    folded = run(["fold", "--lattice", "330,0;0,331", "--direction", "1,1"], sequence)
+    assert run(["verify", "--kind", "periodic-ddc"], folded) == '{"ok": true}\n'
+    assert json.loads(folded)["shape"] == json.loads(welch)["shape"]
+    assert run(["unfold", "--direction", "1,1"], folded) == sequence
+
+
+def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
+    # a box written as text and any other shape through json.dumps
+    sequence = json.dumps(sidon2d.sequence_to_json(sidon2d.construct_bose(5)))
+    moved = [[-1, 1] if cell == [7, 0] else cell for cell in Shape.rectangle(8, 3).to_json()]
+    for shape in [None, "8x3", json.dumps(moved)]:
+        argv = ["fold", "--lattice", "8,2;0,3", "--direction", "1,0"]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(sequence))
+        assert cli.main(argv + ([] if shape is None else ["--shape", shape])) == 0
+        out = capsys.readouterr().out
+        pattern = sidon2d.pattern_from_json(json.loads(out))
+        assert out == json.dumps(pattern_to_json(pattern)) + "\n"
+
+
 def test_directions_of_the_welch_lattice():
     proc = run_cli("directions", "--lattice", "6,0;0,7")
     assert out_json(proc) == {

@@ -10,8 +10,10 @@ JSON, one with near-valid option strings.
 
 import contextlib
 import io
+import itertools
 import json
 import math
+import re
 import sys
 from unittest import mock
 
@@ -45,6 +47,7 @@ from sidon2d import (
     unfold,
     unfold_to_sidon,
 )
+from sidon2d.lattices import MAX_RECTANGLE_CELLS
 from sidon2d.numtheory import as_ints
 
 WELCH7 = Tiling(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7))
@@ -150,6 +153,84 @@ def test_valid_values_are_reduced_not_rejected():
     assert SidonSequence.from_ints(6, [7, 3]).as_ints() == [1, 3]
     assert Lattice([[2, 1], [0, 4]]).rows == ((2, 1), (0, 4))
     assert fundamental_shape(Lattice([[2, 1], [0, 4]])).size == 8
+
+
+CAP = MAX_RECTANGLE_CELLS
+
+
+def test_a_shape_over_the_cell_cap_is_refused_before_a_cell_is_read():
+    # items that are not even cells: only the count is looked at
+    with pytest.raises(ValueError, match=f"^shape is over the {CAP}-cell cap$"):
+        Shape([None] * (CAP + 1))
+    # an endless iterable is read up to one item past the cap
+    with pytest.raises(ValueError, match=f"^shape is over the {CAP}-cell cap$"):
+        Shape((0, 0) for _ in itertools.count())
+    assert Shape([[0, y] for y in range(CAP)]).size == CAP
+
+
+def test_a_pattern_refuses_more_dots_than_cells_before_reading_them():
+    lattice, shape = Lattice(((2, 0), (0, 1))), Shape.rectangle(2, 1)
+    for dots in ([None] * 3, ((0, 0) for _ in itertools.count())):
+        with pytest.raises(ValueError, match="^more dots than the 2 cells of the shape$"):
+            PeriodicDdc(lattice, shape, dots)
+    assert PeriodicDdc(lattice, shape, [(0, 0), (1, 0)]).dots == {(0, 0), (1, 0)}
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        [[0, True]],
+        [[0, 0], [0, True]],
+        [[0, 0], [0, 1.0]],
+        [[0.0, 0], [0, 1]],
+        [[0, 0, 0]],
+        [[0, 0], [0, 1, 1]],
+        [[0, 0], [0, 1], "ab"],
+        [[0, 0], None],
+        [[0, 1], [0, 0]],  # a permuted box
+        [[0, 0], [0, 0]],  # a duplicated box
+        [[0, 0], [0, 1], [0, 0], [1, 1]],  # the ys of a 2 x 2 box, not its xs
+        [[0, 0], [1, 0], [0, 1], [1, 1]],  # a y-major box
+        [[-1, 0], [0, 0], [-1, 1], [0, 1]],
+        [[1, 0], [1, 1]],  # a box without the origin
+    ],
+    ids=repr,
+)
+def test_box_detection_never_reinterprets_a_cell_list(cells):
+    """Anything but a box's own x-major list is read cell by cell, and
+    fails or succeeds as it would with the box test taken away."""
+    try:
+        expected = frozenset(as_ints(cells, "shape", None, 2))
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            Shape(cells)
+        return
+    if (0, 0) not in expected:
+        with pytest.raises(ValueError, match="must contain the origin"):
+            Shape(cells)
+        return
+    shape = Shape(cells)
+    assert shape.points == expected
+    assert shape._points is not None  # not taken for a box
+
+
+def test_a_cli_shape_over_the_cell_cap_is_one_error_line():
+    over = "[" + "0, " * CAP + "0]"
+    pattern = '{"lattice": [[1, 0], [0, 1]], "shape": ' + over + ', "dots": []}'
+    for argv, stdin in [
+        (["unfold", "--direction", "1,1"], pattern),
+        (["verify", "--kind", "periodic-ddc"], pattern),
+        (["directions"], pattern),
+        (["render"], pattern),
+        (["directions", "--lattice", "1,0;0,1", "--shape", over], ""),
+    ]:
+        assert run_main(argv, stdin) == (1, "", f"error: shape is over the {CAP}-cell cap\n")
+
+
+def test_a_cli_pattern_with_more_dots_than_cells_is_one_error_line():
+    stdin = '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [1, 0]], "dots": [0, 0, 0]}'
+    for argv in (["unfold", "--direction", "1,1"], ["verify", "--kind", "periodic-ddc"], ["render"]):
+        assert run_main(argv, stdin) == (1, "", "error: more dots than the 2 cells of the shape\n")
 
 
 # -- the command line --------------------------------------------------------------

@@ -1,10 +1,26 @@
 """Closed-form tilings against independent references: the reduced
-cells, the periodic-DDC check and the folded row."""
+cells, the index map phi, the periodic-DDC check, the folded row and
+the positions unfolding reads off it, and box shapes against their
+cell sets."""
+
+import json
+import math
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sidon2d import Lattice, PeriodicDdc, Shape, fundamental_shape, is_doubly_periodic_ddc
+from sidon2d import (
+    Lattice,
+    PeriodicDdc,
+    Shape,
+    cli,
+    defines_folding_gcd,
+    fundamental_shape,
+    is_doubly_periodic_ddc,
+    unfold_to_sidon,
+)
+from sidon2d import groups
 from sidon2d.folding import folded_cells, folding_directions
 from sidon2d.groups import Collision, first_difference_collision
 from sidon2d.lattices import Tiling
@@ -97,25 +113,26 @@ def test_periodic_ddc_check_matches_the_ordered_scan(pattern):
     assert is_doubly_periodic_ddc(pattern) == ordered_scan(pattern)
 
 
-def test_a_dense_pattern_stops_within_two_rows_of_differences():
+def test_a_dense_pattern_stops_within_two_rows_of_differences(monkeypatch):
     # every cell a dot: the second row of differences already repeats, so
-    # the check reduces 2n of the n^2 differences before its ordered scan
+    # the check forms 2n of the n^2 differences before its ordered scan;
+    # they are counted as the rows reach the check's set of seen keys
     shape = Shape.rectangle(300, 300)
     pattern = PeriodicDdc(Lattice(((300, 0), (0, 300))), shape, shape.points)
-    tiling = pattern.tiling
-    reduced = []
+    formed = []
 
-    def counted_cells(pts):
-        cells = Tiling.cells(tiling, pts)
-        reduced.append(len(cells))
-        return cells
+    class CountingSet(set):
+        def update(self, *rows):
+            formed.extend(len(row) for row in rows)
+            super().update(*rows)
 
-    tiling.cells = counted_cells
+    monkeypatch.setattr(groups, "set", CountingSet, raising=False)
     collision = is_doubly_periodic_ddc(pattern)
+    monkeypatch.undo()
     dots = sorted(shape.points)
-    assert sum(reduced) == 2 * len(dots)
+    assert sum(formed) == 2 * len(dots)
     assert collision == first_difference_collision(
-        dots, lambda a, b: tiling.representative((a[0] - b[0], a[1] - b[1]))
+        dots, lambda a, b: pattern.tiling.representative((a[0] - b[0], a[1] - b[1]))
     )
     assert collision.key == (0, 1)
 
@@ -128,3 +145,111 @@ def test_folded_cells_are_the_walked_row(tiling):
         row = folded_cells(tiling, d, range(n))
         assert row == folded_row(tiling, d)[0]
         assert folded_cells(tiling, d, [n - 1, 0, n + 2]) == [row[-1], row[0], row[2 % n]]
+
+
+@given(tilings())
+@settings(max_examples=200, deadline=None)
+def test_phi_vanishes_on_the_lattice_and_is_onto(tiling):
+    lattice = tiling.lattice
+    moduli = lattice.moduli
+    assert math.prod(moduli) == lattice.volume
+    assert all(m % moduli[0] == 0 for m in moduli)
+    (a, b), (_, d) = lattice.hnf
+    assert (len(moduli) == 1) == (math.gcd(a, b, d) == 1)
+    for row in lattice.rows + lattice.hnf:
+        assert lattice.phi(row) == (0,) * len(moduli)
+    images = {lattice.phi(c) for c in tiling.shape.points}
+    assert images == set(product(*(range(m) for m in moduli)))
+
+
+@given(tilings(), points)
+@settings(max_examples=200, deadline=None)
+def test_phi_agrees_with_the_coset_key(tiling, pts):
+    lattice = tiling.lattice
+    pts = pts + sorted(tiling.shape.points)[:10]
+    for p in pts:
+        for q in pts:
+            assert (lattice.phi(p) == lattice.phi(q)) == (lattice.coset_key(p) == lattice.coset_key(q))
+        assert lattice.phi(p) == tuple((c + e) % m for c, e, m in zip(
+            lattice.phi((p[0] - 1, p[1])), lattice.phi((1, 0)), lattice.moduli))
+
+
+@given(tilings())
+@settings(max_examples=200, deadline=None)
+def test_phi_of_a_direction_is_a_unit_exactly_when_it_folds(tiling):
+    lattice, n = tiling.lattice, tiling.size
+    if not folding_directions(tiling):
+        return
+    assert len(lattice.moduli) == 1
+    for d in product(range(-3, 4), repeat=2):
+        if d != (0, 0):
+            assert (math.gcd(lattice.phi(d)[0], n) == 1) == defines_folding_gcd(lattice, n, d)
+
+
+@given(patterns(), st.integers(0, 5), st.integers(0, 10))
+@example(PeriodicDdc(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7),
+                     frozenset({(0, 1), (1, 3), (2, 2), (3, 6), (4, 4), (5, 5)})), 0, 0)
+@settings(max_examples=200, deadline=None)
+def test_unfold_reads_the_dots_off_the_walked_row(pattern, which, anchor_index):
+    directions = folding_directions(pattern.tiling)
+    if not directions or not pattern.dots:
+        return
+    d = directions[which % len(directions)]
+    anchor = sorted(pattern.dots)[anchor_index % len(pattern.dots)]
+    row = folded_row(pattern.tiling, d)[0]
+    shifted = {pattern.tiling.representative((x - anchor[0], y - anchor[1])) for x, y in pattern.dots}
+    expected = [t for t, cell in enumerate(row) if cell in shifted]
+    assert unfold_to_sidon(pattern, d, anchor).as_ints() == expected
+
+
+def test_unfold_on_a_shifted_transversal():
+    # the 2 x 3 box of ((2, 1), (0, 3)) with cell (1, 0) moved to (-1, -1)
+    lattice = Lattice(((2, 1), (0, 3)))
+    shape = Shape([(0, 0), (0, 1), (0, 2), (-1, -1), (1, 1), (1, 2)])
+    pattern = PeriodicDdc(lattice, shape, frozenset({(0, 0), (-1, -1), (1, 2)}))
+    for d in folding_directions(pattern.tiling):
+        row = folded_row(pattern.tiling, d)[0]
+        expected = [t for t, cell in enumerate(row) if cell in pattern.dots]
+        assert unfold_to_sidon(pattern, d, (0, 0)).as_ints() == expected
+
+
+boxes = st.tuples(st.integers(-4, 0), st.integers(-4, 0), st.integers(0, 4), st.integers(0, 4))
+
+
+@given(boxes)
+@example((0, 0, 0, 0))
+@settings(max_examples=200, deadline=None)
+def test_a_box_shape_is_its_cell_set(bounds):
+    x0, y0, x1, y1 = bounds
+    cells = [[x, y] for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
+    twin = Shape(frozenset(map(tuple, cells)))
+    boxes = [Shape(cells)] + ([Shape.rectangle(x1 + 1, y1 + 1)] if x0 == y0 == 0 else [])
+    for box in boxes:
+        assert box._points is None  # kept as its bounds
+        assert box == twin and twin == box
+        assert hash(box) == hash(twin)
+        assert (box.size, box.bounds(), box.to_json(), repr(box)) == (
+            twin.size, twin.bounds(), twin.to_json(), repr(twin))
+        for cell in product(range(x0 - 1, x1 + 2), range(y0 - 1, y1 + 2)):
+            assert (cell in box) == (cell in twin) == (x0 <= cell[0] <= x1 and y0 <= cell[1] <= y1)
+        for shape in (box, twin):
+            assert cli._shape_json(shape) == json.dumps(shape.to_json())
+
+
+@given(tilings())
+@settings(max_examples=100, deadline=None)
+def test_the_shape_text_of_any_shape_is_its_json(tiling):
+    shape = tiling.shape
+    assert cli._shape_json(shape) == json.dumps(shape.to_json())
+    assert Shape(shape.to_json()) == shape
+
+
+def test_a_box_is_found_only_in_its_own_cell_list():
+    box = [[x, y] for x in range(2) for y in range(3)]
+    reordered = [[x, y] for y in range(3) for x in range(2)]
+    assert Shape(box)._points is None
+    assert Shape(tuple(box))._points is not None  # only a JSON list is tested
+    for cells in (reordered, box[:3] + box[:3], box[:-1]):
+        shape = Shape(cells)
+        assert shape._points == {tuple(c) for c in cells}
+    assert Shape(reordered) == Shape(box)
