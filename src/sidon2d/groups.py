@@ -3,10 +3,12 @@
 A Sidon sequence is a subset whose ordered differences of distinct
 elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
-sums with repetition are distinct.  Every distinctness check in the
-package is one first_collision scan over (key, pair) items.  A Sidon
-sequence in Z_n and a doubly periodic DDC in Z^2 modulo a lattice are
-both distinct-difference sets, told apart only by their subtraction:
+sums with repetition are distinct.  Every witness in the package comes
+from one first_collision scan over (key, pair) items; for differences,
+differences_distinct first answers yes or no a row of differences at a
+time, and only a set that fails is scanned.  A Sidon sequence in Z_n
+and a doubly periodic DDC in Z^2 modulo a lattice are both
+distinct-difference sets, told apart only by their subtraction:
 first_difference_collision verifies either kind and
 max_distinct_difference_set searches either for its largest member.
 """
@@ -143,27 +145,91 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     """Whether all ordered differences of distinct elements are distinct:
     the fast path of verify_sidon, and of the periodic-DDC check on a
     pattern's dots mapped into Z^2 modulo its lattice by Lattice.phi.
+    The elements must be distinct.
 
-    Each element is packed into one int, component i in slot i of s bits
-    under a flag bit, with 2^s above every modulus.  Slot i of a + (M - b)
-    holds a_i - b_i + m_i in [1, 2m_i), which fits the slot; adding
-    2^s - m_i raises the flag exactly where that is at least m_i, and so
-    where m_i must be subtracted to leave the residue.  A row of keys
-    a - b over every b, a itself included, adds n - 1 new keys and the
-    zero difference when no collision has occurred.
+    Row a holds the differences a - b over every b, a itself included,
+    and is built with a few big-int operations in one of two layouts,
+    chosen from the moduli and n alone:
+
+    - A rotating bitmap, for a cyclic group Z_m with m <= 2n^2.  An
+      m-bit int has bit -b set for each b; two copies of it end to end,
+      shifted right by m - a, give row a as bits a - b.  The set is
+      Sidon exactly when each row meets the union of the rows before it
+      in the zero difference alone.  No difference is stored.
+    - Packed lanes, for every other group.  Component i of an element
+      sits in a slot of s_i = m_i.bit_length() bits under a flag bit.
+      Slot i of a + (M - b) holds a_i - b_i + m_i in [1, 2m_i), which
+      fits the slot; adding 2^s_i - m_i raises the flag exactly where
+      that is at least m_i, and so where m_i must be subtracted to
+      leave the residue.  Each b has a lane of 64k bits in one int, so
+      a row costs a handful of whole-int operations, and its lanes join
+      one set as keys: one machine word when k = 1, a k-tuple of words
+      otherwise.  A key is not the residue but the words that hold it,
+      read in native byte order; it stands for the same difference in
+      every row and for no other, and equality is all a test of
+      distinctness asks of it.  A row adds n - 1 new keys and the zero
+      difference exactly when no difference has repeated, which is
+      counted after every row (pigeonhole).
+
+    The rule: a row of lanes costs n set inserts, a bitmap row a few
+    passes over m bits, about m / 64 word operations, each far cheaper
+    than an insert.  A Sidon set needs m > n(n - 1), so a bitmap that
+    can hold one has at least about n^2 bits.  Measured at n = 1000
+    the layouts break even near m = 2n^2 (for smaller n the bitmap
+    stays ahead further out), and past that a sparse modulus, 10^18 or
+    more, would make the passes cost far more than the inserts.
     """
-    s = max(moduli).bit_length()
-    offsets = [i * (s + 1) for i in range(len(moduli))]
+    n = len(elements)
+    if len(moduli) == 1 and moduli[0] <= 2 * n * n:
+        return _rotation_distinct(moduli[0], [c for (c,) in elements])
+    return _lanes_distinct(moduli, elements)
+
+
+def _rotation_distinct(m: int, values: list[int]) -> bool:
+    """differences_distinct on Z_m by the rotating bitmap."""
+    bits = bytearray(m // 8 + 1)
+    for k in (-b % m for b in values):
+        bits[k >> 3] |= 1 << (k & 7)
+    negated = int.from_bytes(bits, "little")
+    twice, full, union = negated | negated << m, (1 << m) - 1, 1
+    for a in values:
+        row = twice >> m - a & full
+        if row & union != 1:
+            return False
+        union |= row
+    return True
+
+
+def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> bool:
+    """differences_distinct on any group by packed lanes."""
+    widths = [m.bit_length() for m in moduli]
+    offsets = [sum(widths[:i]) + i for i in range(len(widths))]
+    words = -(-(offsets[-1] + widths[-1] + 1) // 64)
+    lane = 8 * words
     mods = sum(m << o for m, o in zip(moduli, offsets))
-    lift = sum((1 << s) - m << o for m, o in zip(moduli, offsets))
-    flags = sum(1 << o + s for o in offsets)
+    lift = sum((1 << s) - m << o for m, s, o in zip(moduli, widths, offsets))
+    # f - (f >> s) widens a raised flag into the s bits below it, so
+    # slots of one width share one shift
+    flags_by_width: dict[int, int] = {}
+    for s, o in zip(widths, offsets):
+        flags_by_width[s] = flags_by_width.get(s, 0) | 1 << o + s
     packed = [sum(c << o for c, o in zip(el, offsets)) for el in elements]
-    negated = [mods - b for b in packed]
-    seen: set[int] = set()
     n = len(packed)
+    # one lane per b: rep has a 1 at the bottom of each, negated holds M - b
+    rep = int.from_bytes((b"\1" + bytes(lane - 1)) * n, "little")
+    negated = int.from_bytes(b"".join((mods - b).to_bytes(lane, "little") for b in packed), "little")
+    lift, flags, mods = lift * rep, sum(flags_by_width.values()) * rep, mods * rep
+    by_width = [(s, f * rep) for s, f in flags_by_width.items()]
+    seen: set = set()
     for count, a in enumerate(packed, 1):
-        a_lift = a + lift
-        seen.update([a + nb - (f - (f >> s) & mods) for nb in negated for f in [a_lift + nb & flags]])
+        row = a * rep + negated
+        raised = row + lift & flags
+        over = 0
+        for s, f in by_width:
+            f &= raised
+            over |= f - (f >> s)
+        keys = memoryview((row - (over & mods)).to_bytes(n * lane, "little")).cast("Q")
+        seen.update(keys if words == 1 else zip(*[iter(keys)] * words))
         if len(seen) != count * (n - 1) + 1:
             return False
     return True

@@ -134,6 +134,15 @@ def test_verify_reports_difference_collision_with_exit_2():
         "pair_a": [0, 3],
         "pair_b": [3, 0],
     }
+    # a sparse modulus: a bitmap over the group would need 10^18 bits
+    proc = run_cli("verify", "--kind", "sidon", stdin='{"modulus": 1000000000000000000, "elements": [0, 1, 2]}')
+    assert proc.returncode == 2
+    assert proc.stdout == (
+        '{"ok": false, "kind": "difference-collision", "difference": 999999999999999999,'
+        ' "pair_a": [0, 1], "pair_b": [1, 2]}\n'
+    )
+    proc = run_cli("verify", "--kind", "sidon", stdin='{"modulus": 1000000000000000000, "elements": [0, 1, 3]}')
+    assert (proc.returncode, proc.stdout) == (0, '{"ok": true}\n')
 
 
 def test_verify_weak_sidon_both_ways():

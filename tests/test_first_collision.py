@@ -22,7 +22,7 @@ from sidon2d import (
     verify_sidon_sums,
     verify_weak_sidon,
 )
-from sidon2d.groups import first_difference_collision
+from sidon2d.groups import differences_distinct, first_difference_collision
 
 # -- oracles ------------------------------------------------------------------
 
@@ -105,12 +105,16 @@ def sequences(draw):
 @st.composite
 def patterns(draw):
     """Dots on a tiling whose triangular basis ((a, b), (0, d)) has
-    2 <= a, d <= 4, often with a planted collision modulo the lattice."""
-    a, d = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    1 <= a, d <= 12, often with a planted collision modulo the lattice.
+    The quotient is cyclic when gcd(a, b, d) = 1 and Z_m1 x Z_m2 with
+    m1 > 1 otherwise; up to 10 dots in up to 144 cells put cyclic
+    quotients on both sides of the rule that picks the rotating bitmap
+    (m <= 2n^2) over packed lanes."""
+    a, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     lattice = Lattice(((a, draw(st.integers(0, d - 1))), (0, d)))
     shape = fundamental_shape(lattice)
     cells = sorted(shape.points)
-    dots = draw(st.permutations(cells))[: draw(st.integers(0, len(cells)))]
+    dots = draw(st.permutations(cells))[: draw(st.integers(0, min(len(cells), 10)))]
     pattern = PeriodicDdc(lattice, shape, frozenset(dots))
     if len(dots) >= 3 and draw(st.booleans()):
         x, y, z = draw(st.permutations(dots))[:3]
@@ -133,10 +137,23 @@ def test_sequence_scans_match_their_oracles(seq):
     assert verify_weak_sidon(seq) == oracle_sum_collision(seq, combinations)
 
 
+def _box_pattern(basis, dots):
+    lattice = Lattice(basis)
+    return PeriodicDdc(lattice, fundamental_shape(lattice), frozenset(dots))
+
+
 @given(patterns())
+@example(_box_pattern(((2, 0), (0, 2)), [(0, 0), (1, 1)]))  # Z_2 x Z_2
+@example(_box_pattern(((4, 0), (0, 6)), [(0, 0), (0, 1), (1, 3), (3, 2)]))  # Z_2 x Z_12
+@example(_box_pattern(((3, 1), (0, 5)), [(0, 0), (0, 1), (1, 3)]))  # Z_15
+@example(_box_pattern(((12, 5), (0, 12)), [(0, 0), (0, 1), (1, 3)]))  # Z_144, lanes
 @settings(max_examples=300, deadline=None)
 def test_pattern_scans_match_their_oracles(pattern):
-    assert is_doubly_periodic_ddc(pattern) == oracle_is_doubly_periodic_ddc(pattern)
+    oracle = oracle_is_doubly_periodic_ddc(pattern)
+    assert is_doubly_periodic_ddc(pattern) == oracle
+    lattice = pattern.lattice
+    images = [lattice.phi(p) for p in sorted(pattern.dots)]
+    assert differences_distinct(lattice.moduli, images) == (oracle is None)
     assert is_ddc(pattern.dots) == oracle_is_ddc(pattern.dots)
 
 

@@ -17,7 +17,7 @@ from sidon2d import (
     verify_sidon_sums,
     verify_weak_sidon,
 )
-from sidon2d.groups import first_difference_collision
+from sidon2d.groups import differences_distinct, first_difference_collision
 
 
 def test_group_spec_basics():
@@ -157,13 +157,26 @@ def test_difference_and_sum_views_agree_random(case):
 
 @st.composite
 def planted_subsets(draw):
-    """A subset of a group of rank 1-3, often with a planted collision:
-    w = x - y + z joins x, y, z, so that x - y == w - z."""
-    moduli = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    """A subset of a group of rank 1-4, often with a planted collision:
+    w = x - y + z joins x, y, z, so that x - y == w - z.
+
+    Moduli run up to 2^70, so a packed element can be wider than one
+    64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
+    Rank-1 groups fall on both sides of the rule that picks the rotating
+    bitmap (m <= 2n^2) over packed lanes."""
+    modulus = (
+        st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
+    )
+    small_cycle = st.lists(st.integers(1, 60), min_size=1, max_size=1)
+    moduli = draw(st.lists(modulus, min_size=1, max_size=4) | small_cycle)
     group = GroupSpec(tuple(moduli))
-    pool = list(group.elements())
-    size = draw(st.integers(0, min(len(pool), 9)))
-    subset = draw(st.permutations(pool))[:size]
+    if group.order <= 1000:
+        pool = list(group.elements())
+        size = draw(st.integers(0, min(len(pool), 9)))
+        subset = draw(st.permutations(pool))[:size]
+    else:
+        element = st.tuples(*(st.integers(0, m - 1) for m in moduli))
+        subset = draw(st.lists(element, max_size=9, unique=True))
     if len(subset) >= 3 and draw(st.booleans()):
         x, y, z = draw(st.permutations(subset))[:3]
         w = group.add(group.sub(x, y), z)
@@ -172,16 +185,31 @@ def planted_subsets(draw):
     return group, subset
 
 
+# ten pairs (i, x^i) in Z_1023 x GF(1024)^+, the group of the power pairs
+# at q = 1024: for i < 10 the coefficients of x^i are the unit vector e_i
+POWER_PAIRS_SHAPED = [(i,) + tuple(int(j == i) for j in range(10)) for i in range(10)]
+
+
 @given(planted_subsets())
 @example((GroupSpec((5,)), []))
 @example((GroupSpec((1,)), [(0,)]))
 @example((GroupSpec((1, 7, 1)), [(0, 0, 0), (0, 1, 0), (0, 3, 0)]))
 @example((GroupSpec((6,)), [(0,), (1,), (3,)]))
+@example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2: the bitmap
+@example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1: lanes
+@example((GroupSpec((19,)), [(0,), (1,), (2,)]))
+@example((GroupSpec((2**70,)), [(0,), (2**70 - 1,), (2**69,)]))
+@example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED))
+@example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED + [(1,) + (0,) * 10, (0,) + (1,) * 10]))
+@example((GroupSpec((1023, 2, 2, 2)), [(0, 0, 0, 0), (1022, 1, 0, 1), (1, 1, 1, 0), (1022, 0, 1, 1)]))
 @settings(max_examples=300, deadline=None)
 def test_verify_sidon_equals_the_ordered_scan(case):
     group, subset = case
     s = SidonSequence(group, subset)
-    assert verify_sidon(s) == first_difference_collision(s.elements, group.sub)
+    scan = first_difference_collision(s.elements, group.sub)
+    assert verify_sidon(s) == scan
+    # verify_sidon falls back to the scan, so check the fast path alone too
+    assert differences_distinct(group.moduli, s.elements) == (scan is None)
 
 
 # -- counting bound -----------------------------------------------------------
