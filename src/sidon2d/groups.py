@@ -151,11 +151,12 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     and is built with a few big-int operations in one of two layouts,
     chosen from the moduli and n alone:
 
-    - A rotating bitmap, for a cyclic group Z_m with m <= 2n^2.  An
-      m-bit int has bit -b set for each b; two copies of it end to end,
-      shifted right by m - a, give row a as bits a - b.  The set is
-      Sidon exactly when each row meets the union of the rows before it
-      in the zero difference alone.  No difference is stored.
+    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m,
+      m <= 2n^2 and m <= 2^21.  An m-bit int has bit -b set for each b;
+      two copies of it end to end, shifted right by m - a, give row a
+      as bits a - b.  The set is Sidon exactly when each row meets the
+      union of the rows before it in the zero difference alone.  No
+      difference is stored.
     - Packed lanes, for every other group.  Component i of an element
       sits in a slot of s_i = m_i.bit_length() bits under a flag bit.
       Slot i of a + (M - b) holds a_i - b_i + m_i in [1, 2m_i), which
@@ -174,13 +175,21 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     The rule: a row of lanes costs n set inserts, a bitmap row a few
     passes over m bits, about m / 64 word operations, each far cheaper
     than an insert.  A Sidon set needs m > n(n - 1), so a bitmap that
-    can hold one has at least about n^2 bits.  Measured at n = 1000
+    can hold one has at least about n^2 bits.  Measured at n = 1020
     the layouts break even near m = 2n^2 (for smaller n the bitmap
     stays ahead further out), and past that a sparse modulus, 10^18 or
-    more, would make the passes cost far more than the inserts.
+    more, would make the passes cost far more than the inserts.  The
+    break-even falls as n grows (8n^2 at n = 100), and 2^21 bits, just
+    above 2n^2 at n = 1020, is the largest bitmap it was measured for.
+    Past that size the choice is unmeasured, and a bitmap is built
+    whole before its first row can fail, where lanes stop at the first
+    short row; so larger cyclic groups take lanes.  So does a set with
+    n(n - 1) >= m, which cannot be Sidon: its n(n - 1) differences would
+    be distinct and nonzero.  Lanes refuse it by their count, with no
+    bitmap built.
     """
     n = len(elements)
-    if len(moduli) == 1 and moduli[0] <= 2 * n * n:
+    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= min(2 * n * n, 2**21):
         return _rotation_distinct(moduli[0], [c for (c,) in elements])
     return _lanes_distinct(moduli, elements)
 

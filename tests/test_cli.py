@@ -145,6 +145,37 @@ def test_verify_reports_difference_collision_with_exit_2():
     assert (proc.returncode, proc.stdout) == (0, '{"ok": true}\n')
 
 
+def test_verify_sidon_of_a_large_set_stops_at_its_first_short_row():
+    """50,000 consecutive elements repeat a difference on the second row.
+    Z_m with m = n(n - 1) cannot hold n Sidon elements at all, and with
+    m = 2n^2 a rotating bitmap over the group would take gigabytes before
+    its first row, so the child runs under a 256 MB address-space limit
+    where the platform has one."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    n = 50_000
+    for m in (n * (n - 1), 2 * n * n):
+        proc = subprocess.run(
+            CLI + ["verify", "--kind", "sidon"],
+            input=json.dumps({"modulus": m, "elements": list(range(n))}),
+            capture_output=True, text=True, env=ENV, preexec_fn=limit,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert out_json(proc) == {
+            "ok": False,
+            "kind": "difference-collision",
+            "difference": m - 1,
+            "pair_a": [0, 1],
+            "pair_b": [1, 2],
+        }
+
+
 def test_verify_weak_sidon_both_ways():
     ok = run_cli("verify", "--kind", "weak-sidon", stdin='{"modulus": 8, "elements": [0, 1, 2]}')
     assert ok.returncode == 0

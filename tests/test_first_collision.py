@@ -107,14 +107,14 @@ def patterns(draw):
     """Dots on a tiling whose triangular basis ((a, b), (0, d)) has
     1 <= a, d <= 12, often with a planted collision modulo the lattice.
     The quotient is cyclic when gcd(a, b, d) = 1 and Z_m1 x Z_m2 with
-    m1 > 1 otherwise; up to 10 dots in up to 144 cells put cyclic
+    m1 > 1 otherwise; up to 16 dots in up to 144 cells put cyclic
     quotients on both sides of the rule that picks the rotating bitmap
-    (m <= 2n^2) over packed lanes."""
+    (n(n - 1) < m <= 2n^2) over packed lanes."""
     a, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     lattice = Lattice(((a, draw(st.integers(0, d - 1))), (0, d)))
     shape = fundamental_shape(lattice)
     cells = sorted(shape.points)
-    dots = draw(st.permutations(cells))[: draw(st.integers(0, min(len(cells), 10)))]
+    dots = draw(st.permutations(cells))[: draw(st.integers(0, min(len(cells), 16)))]
     pattern = PeriodicDdc(lattice, shape, frozenset(dots))
     if len(dots) >= 3 and draw(st.booleans()):
         x, y, z = draw(st.permutations(dots))[:3]

@@ -163,7 +163,7 @@ def planted_subsets(draw):
     Moduli run up to 2^70, so a packed element can be wider than one
     64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
     Rank-1 groups fall on both sides of the rule that picks the rotating
-    bitmap (m <= 2n^2) over packed lanes."""
+    bitmap (n(n - 1) < m <= 2n^2, m <= 2^21) over packed lanes."""
     modulus = (
         st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
     )
@@ -198,6 +198,10 @@ POWER_PAIRS_SHAPED = [(i,) + tuple(int(j == i) for j in range(10)) for i in rang
 @example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2: the bitmap
 @example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1: lanes
 @example((GroupSpec((19,)), [(0,), (1,), (2,)]))
+@example((GroupSpec((20,)), [(0,), (1,), (4,), (14,), (16,)]))  # n(n - 1) = m: lanes
+@example((GroupSpec((21,)), [(0,), (1,), (4,), (14,), (16,)]))  # a perfect difference set
+@example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # the largest bitmap
+@example((GroupSpec((2**21 + 1,)), [(c,) for c in range(1025)]))  # m <= 2n^2, but lanes
 @example((GroupSpec((2**70,)), [(0,), (2**70 - 1,), (2**69,)]))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED + [(1,) + (0,) * 10, (0,) + (1,) * 10]))
