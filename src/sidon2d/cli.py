@@ -11,7 +11,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict
 
 from .ddc import (
     PeriodicDdc,
@@ -43,8 +42,13 @@ from .sidon import (
     max_sidon_size,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import NoReturn
+
 SEQUENCE_FAMILIES = ("bose", "singer", "ruzsa", "power-pairs")
 PATTERN_FAMILIES = ("welch", "golomb")
+INT_OPTIONS = ("p", "q", "alpha", "beta")  # construct's integer options
 # verify kind -> (witness kind, JSON field naming the repeated key)
 WITNESSES = {
     "sidon": ("difference-collision", "difference"),
@@ -54,10 +58,17 @@ WITNESSES = {
 }
 
 
+def _parse_int(text: str, what: str) -> int:
+    """ASCII digits with an optional '-': int() alone also reads '1_0', '７', ' 7' and '+7'."""
+    if not re.fullmatch("-?[0-9]+", text):
+        raise ValueError(f"malformed {what}: expected an integer, got {text!r}")
+    return int(text)
+
+
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
     """Comma-separated integers; their count is checked where they are used."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_parse_int(part, what) for part in text.split(","))
     except ValueError:
         raise ValueError(f"malformed {what}: expected comma-separated integers, got {text!r}")
 
@@ -72,7 +83,7 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
     if "x" in text and not text.lstrip().startswith("["):
         w, _, h = text.partition("x")
         try:
-            width, height = int(w), int(h)
+            width, height = _parse_int(w, "shape"), _parse_int(h, "shape")
         except ValueError:
             raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
         if width > 0 < height and width * height != lattice.volume:
@@ -143,24 +154,25 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         "welch": (construct_welch, "p", ("alpha",)),
         "golomb": (construct_golomb, "q", ("alpha", "beta")),
     }[args.family]
-    if getattr(args, size) is None:
+    given = {o: _parse_int(getattr(args, o), f"--{o}") for o in INT_OPTIONS if getattr(args, o) is not None}
+    if size not in given:
         raise ValueError(f"--family {args.family} requires --{size}")
-    if args.beta is not None and "beta" not in options:
+    if "beta" in given and "beta" not in options:
         raise ValueError("--beta only applies to --family golomb")
-    if args.alpha is not None and "alpha" not in options:
+    if "alpha" in given and "alpha" not in options:
         raise ValueError(f"--family {args.family} does not take --alpha")
     pattern = args.family in PATTERN_FAMILIES
     if pattern and args.report:
         raise ValueError("--report only applies to sequence families")
     if not pattern and args.format == "ascii":
         raise ValueError("only pattern families render as ascii")
-    built = constructor(getattr(args, size), *(getattr(args, o) for o in options))
+    built = constructor(given[size], *(given.get(o) for o in options))
     if args.format == "ascii":
         print(render_ascii(built))
     elif pattern:
         _emit_pattern(built)
     elif args.report:
-        _emit({"sequence": sequence_to_json(built), "optimality": asdict(check_optimality(built))})
+        _emit({"sequence": sequence_to_json(built), "optimality": check_optimality(built).to_json()})
     else:
         _emit(sequence_to_json(built))
     return 0
@@ -255,8 +267,14 @@ def _cmd_render(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """A usage error, in a subcommand too, as one `error:` line and exit 1."""
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sidon2d",
         description="Construct, verify, and interconvert Sidon sequences and"
         " doubly periodic distinct difference configurations.",
@@ -265,10 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a named construction")
     p.add_argument("--family", required=True, choices=SEQUENCE_FAMILIES + PATTERN_FAMILIES)
-    p.add_argument("--p", type=int, help="prime parameter (welch, ruzsa)")
-    p.add_argument("--q", type=int, help="prime power parameter (golomb, bose, singer, power-pairs)")
-    p.add_argument("--alpha", type=int, help="primitive element, as an integer code")
-    p.add_argument("--beta", type=int, help="second primitive element (golomb)")
+    p.add_argument("--p", help="prime parameter (welch, ruzsa)")
+    p.add_argument("--q", help="prime power parameter (golomb, bose, singer, power-pairs)")
+    p.add_argument("--alpha", help="primitive element, as an integer code")
+    p.add_argument("--beta", help="second primitive element (golomb)")
     p.add_argument("--report", action="store_true", help="wrap the sequence with an optimality report")
     p.add_argument("--format", choices=("json", "ascii"), default="json")
     p.set_defaults(func=_cmd_construct)

@@ -10,8 +10,7 @@ unfolding into a Sidon sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from collections.abc import Iterable
 
 from .fields import make_field
 from .folding import Direction, folded_cells, folded_positions
@@ -24,7 +23,7 @@ from .groups import (
     verify_sidon,
 )
 from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
-from .numtheory import as_ints, at_most, is_prime, prime_power
+from .numtheory import Record, as_ints, at_most, is_prime, prime_power
 
 
 def is_ddc(dots: Iterable[Point]) -> Collision | None:
@@ -33,8 +32,7 @@ def is_ddc(dots: Iterable[Point]) -> Collision | None:
     return first_difference_collision(pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
 
 
-@dataclass(frozen=True)
-class PeriodicDdc:
+class PeriodicDdc(Record):
     """One fundamental copy of a doubly periodic dot pattern.
 
     The lattice and shape must tile; the dots live on shape cells, so
@@ -43,21 +41,18 @@ class PeriodicDdc:
     checked separately.
     """
 
-    lattice: Lattice
-    shape: Shape
-    dots: frozenset[Point]
-    tiling: Tiling = field(init=False, repr=False, compare=False)
+    __slots__ = ("lattice", "shape", "dots", "tiling")
+    _fields = ("lattice", "shape", "dots")
 
-    def __post_init__(self) -> None:
-        tiling = Tiling(self.lattice, self.shape)  # raises unless it tiles
-        size = self.shape.size
-        dots = at_most(size, self.dots, f"more dots than the {size} cells of the shape")
+    def __init__(self, lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> None:
+        tiling = Tiling(lattice, shape)  # raises unless it tiles
+        size = shape.size
+        dots = at_most(size, dots, f"more dots than the {size} cells of the shape")
         dots = frozenset(as_ints(dots, "dots", None, 2))
-        outside = [d for d in dots if d not in self.shape]
+        outside = [d for d in dots if d not in shape]
         if outside:
             raise ValueError(f"dots outside the shape: {sorted(outside)}")
-        object.__setattr__(self, "dots", dots)
-        object.__setattr__(self, "tiling", tiling)
+        self.lattice, self.shape, self.dots, self.tiling = lattice, shape, dots, tiling
 
 
 def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:

@@ -25,10 +25,10 @@ slots, and the integer code of the current one.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import lru_cache
-from typing import Sequence
 
-from .numtheory import as_ints, factorize, is_prime, modinv, xgcd
+from .numtheory import Record, as_ints, factorize, is_prime, modinv, xgcd
 
 # Table construction is O(q); keep q sane.  Every admitted order builds in
 # under 1 s on a 2-vCPU Xeon VM with CPython 3.11: the slowest are GF(1021^2)
@@ -181,12 +181,14 @@ def _power_codes(p: int, k: int, mod: Sequence[int], gen: Sequence[int]) -> list
 # ---------------------------------------------------------------------------
 
 
-class Field:
+class Field(Record):
     """GF(p^k) with exp/log tables over the canonical reducing polynomial.
 
     ``modulus`` is the coefficient vector (c0, ..., c_{k-1}) of that monic
     polynomial x^k + c_{k-1} x^{k-1} + ... + c0 (see module docstring).
     """
+
+    _fields = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(as_ints(p, "field characteristic")):
@@ -333,14 +335,6 @@ class Field:
         return [x for x in range(1, self.order) if self.is_primitive(x)]
 
     # -- misc ---------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Field):
-            return NotImplemented
-        return (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
 
     def __repr__(self) -> str:
         return f"Field({self.p}, {self.k})"

@@ -14,7 +14,7 @@ lattice's map phi onto the cyclic quotient Z_|S|.
 from __future__ import annotations
 
 import math
-from typing import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 
 from .lattices import Lattice, Point, Tiling
 from .numtheory import as_ints, euler_phi, modinv

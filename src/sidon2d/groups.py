@@ -16,23 +16,25 @@ max_distinct_difference_set searches either for its largest member.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement, product
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
-from .numtheory import as_ints, modinv
+from .numtheory import Record, as_ints, modinv
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 Element = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Record):
     """A direct product of cyclic groups, given by the tuple of moduli."""
 
-    moduli: tuple[int, ...]
+    __slots__ = _fields = ("moduli",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "moduli", as_ints(self.moduli, "group moduli", None))
+    def __init__(self, moduli: Iterable[int]) -> None:
+        self.moduli: tuple[int, ...] = as_ints(moduli, "group moduli", None)
         if not self.moduli:
             raise ValueError("a group needs at least one cyclic factor")
         if any(m < 1 for m in self.moduli):
@@ -63,12 +65,15 @@ class GroupSpec:
         return product(*(range(m) for m in self.moduli))
 
 
-class SidonSequence:
+class SidonSequence(Record):
     """An ordered set of group elements, stored sorted and duplicate-free.
 
     The name records intent, not a checked property: verification is a
     separate step so that near-misses can be inspected.
     """
+
+    __slots__ = ("group", "elements", "_members")
+    _fields = ("group", "elements")
 
     def __init__(self, group: GroupSpec, elements: Iterable[Iterable[int]]):
         self.group = group
@@ -101,26 +106,18 @@ class SidonSequence:
         except TypeError:  # unhashable, so not an element
             return False
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SidonSequence):
-            return NotImplemented
-        return self.group == other.group and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.elements))
-
     def __repr__(self) -> str:
         return f"SidonSequence({self.group.moduli}, {list(self.elements)})"
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(Record):
     """Two distinct pairs that share a key: a difference, a sum or a
     difference vector, depending on the check that found them."""
 
-    key: Hashable
-    pair_a: Any
-    pair_b: Any
+    __slots__ = _fields = ("key", "pair_a", "pair_b")
+
+    def __init__(self, key: Hashable, pair_a: Any, pair_b: Any) -> None:
+        self.key, self.pair_a, self.pair_b = key, pair_a, pair_b
 
 
 def first_collision(keyed_pairs: Iterable[tuple[Hashable, Any]]) -> Collision | None:

@@ -11,11 +11,10 @@ package folds sequences onto.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from itertools import chain, product, repeat
-from typing import Any, Iterable
 
-from .numtheory import as_ints, at_most, xgcd
+from .numtheory import Record, as_ints, at_most, xgcd
 
 Point = tuple[int, int]
 
@@ -76,31 +75,23 @@ def _index_map(hnf: tuple[Point, Point]) -> tuple[tuple[int, ...], list[Point]]:
             return ((s,), columns[1:]) if p == 1 else ((p, s), columns)
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Record):
     """Sublattice of Z^2 spanned by the two rows of an integer matrix.
 
     `moduli` names the quotient Z^2 / Λ as Z_m1 x Z_m2, or Z_volume when
     it is cyclic, and `phi` maps a point to its coset in that group.
     """
 
-    rows: tuple[Point, Point]
-    hnf: tuple[Point, Point] = field(init=False, repr=False, compare=False)
-    volume: int = field(init=False, repr=False, compare=False)
-    moduli: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _columns: list[Point] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rows", "hnf", "volume", "moduli", "_columns")
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        rows = as_ints(self.rows, "lattice", 2, 2)
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = as_ints(rows, "lattice", 2, 2)
         (v11, v12), (v21, v22) = rows
         if v11 * v22 - v12 * v21 == 0:
             raise ValueError(f"basis rows {rows} are linearly dependent")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "hnf", _hnf_rows(rows))
-        object.__setattr__(self, "volume", abs(v11 * v22 - v12 * v21))
-        moduli, columns = _index_map(self.hnf)
-        object.__setattr__(self, "moduli", moduli)
-        object.__setattr__(self, "_columns", columns)
+        self.rows, self.hnf, self.volume = rows, _hnf_rows(rows), abs(v11 * v22 - v12 * v21)
+        self.moduli, self._columns = _index_map(self.hnf)
 
     def coset_key(self, point: Point) -> Point:
         """Canonical label of the coset of point in Z^2 modulo the lattice."""
@@ -122,7 +113,7 @@ class Lattice:
         return [list(r) for r in self.rows]
 
 
-def _box_bounds(cells: Any) -> tuple[int, int, int, int] | None:
+def _box_bounds(cells: object) -> tuple[int, int, int, int] | None:
     """(x0, y0, x1, y1) when cells is a list of exact int pairs naming
     every cell of [x0, x1] x [y0, y1] once, x-major (as Shape.to_json
     writes a box), else None.  The test is a few whole-list operations, so

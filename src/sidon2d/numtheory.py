@@ -1,12 +1,47 @@
-"""Small integer helpers shared across the package."""
+"""Small integer helpers and the value-class base shared across the package."""
 
 from __future__ import annotations
 
 import reprlib
+from collections.abc import Iterator
 from itertools import chain, islice
-from typing import Any, Iterator
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 _INT = frozenset([int])
+
+
+class Record:
+    """A value class: equality within one class, hash and `Name(field=value, ...)`
+    repr from the attributes `_fields` names, each set once, in `__init__`."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 def as_ints(value: Any, what: str, *lengths: int | None) -> Any:

@@ -10,7 +10,6 @@ by backtracking and grade a sequence against them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .fields import Field, make_field
 from .groups import (
@@ -21,7 +20,7 @@ from .groups import (
     sidon_upper_bound,
     verify_sidon,
 )
-from .numtheory import as_ints, factorize, is_prime, partitions, prime_power, xgcd
+from .numtheory import Record, as_ints, factorize, is_prime, partitions, prime_power, xgcd
 
 
 def _field_for(q: int, what: str, degree: int = 1) -> Field:
@@ -131,15 +130,21 @@ def abelian_group_specs(n: int) -> list[GroupSpec]:
 BRUTE_CAP = 40
 
 
-@dataclass(frozen=True)
-class OptimalityReport:
-    """How a sequence's size compares against what its order allows."""
+class OptimalityReport(Record):
+    """How a sequence's size compares against what its order allows; the
+    verdict is optimal-by-bound, optimal or unknown."""
 
-    group_order: int
-    size: int
-    upper_bound: int
-    brute_force_max: int | None
-    verdict: str  # optimal-by-bound | optimal | unknown
+    __slots__ = _fields = ("group_order", "size", "upper_bound", "brute_force_max", "verdict")
+
+    def __init__(
+        self, group_order: int, size: int, upper_bound: int, brute_force_max: int | None, verdict: str
+    ) -> None:
+        self.group_order, self.size, self.upper_bound = group_order, size, upper_bound
+        self.brute_force_max, self.verdict = brute_force_max, verdict
+
+    def to_json(self) -> dict[str, int | str | None]:
+        """The fields by name, in order: the report as `construct --report` writes it."""
+        return dict(zip(self._fields, self._values()))
 
 
 def check_optimality(seq: SidonSequence) -> OptimalityReport:

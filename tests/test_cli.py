@@ -381,9 +381,22 @@ def test_render_matches_construct_ascii(tmp_path):
 
 
 def test_exit_codes_for_usage_errors():
-    assert run_cli().returncode == 1
-    assert run_cli("nonsense").returncode == 1
-    assert run_cli("construct").returncode == 1  # missing --family
+    """Exit 1 and one `error:` line, no usage block: argparse's own errors
+    read like every other input error."""
+    for argv in (
+        [],
+        ["nonsense"],
+        ["construct"],  # missing --family
+        ["construct", "--q", "abc"],
+        ["construct", "--family", "nope", "--q", "3"],
+        ["verify", "--kind", "sidon", "--extra"],
+        ["search", "--max-sidon", "7", "--max-ddc"],
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == "", argv
+        assert proc.stderr.startswith("error: "), argv
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_malformed_json_is_a_clean_error():

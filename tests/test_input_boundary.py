@@ -252,6 +252,19 @@ REPROS = [
     (["verify", "--kind", "sidon"], '{"modulus":6,"elements":[0,1.9,true]}'),
     (["unfold", "--direction", "1,1"], '{"lattice":[[2,0],[0,3]],"shape":[[0,0],[0,1],'
      '[0,2],[1,0],[1,1],[1,2]],"dots":[[0,1.0],[1,2]]}'),
+    # argv integers are ASCII digits with an optional '-', nothing int() also reads
+    (["search", "--max-sidon", "1_0"], ""),
+    (["search", "--max-sidon", "\uff17"], ""),  # fullwidth 7
+    (["search", "--max-sidon", " 7"], ""),
+    (["search", "--max-sidon", "+7"], ""),
+    (["construct", "--family", "bose", "--q", "1_3"], ""),
+    (["construct", "--family", "welch", "--p", "\uff17"], ""),
+    (["construct", "--family", "ruzsa", "--p", "7", "--alpha", "+3"], ""),
+    (["construct", "--family", "golomb", "--q", "7", "--beta", "3 "], ""),
+    (["search", "--max-ddc", "--lattice", "1_0,0;0,1"], ""),
+    (["directions", "--lattice", "2,0;0,3", "--shape", "2x\u0663"], ""),  # Arabic-Indic 3
+    (["unfold", "--direction", "1,+1"], '{"lattice":[[2,0],[0,3]],"shape":[[0,0],[0,1],'
+     '[0,2],[1,0],[1,1],[1,2]],"dots":[[0,1],[1,2]]}'),
 ]
 
 

@@ -1,6 +1,5 @@
 """Constructions and exhaustive oracles for Sidon sequences."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -221,7 +220,7 @@ def test_abelian_group_specs_counts():
 
 def test_report_for_a_bound_meeting_sequence():
     r = check_optimality(construct_power_pairs(4))
-    assert dataclasses.asdict(r) == {
+    assert r.to_json() == {
         "group_order": 12,
         "size": 3,
         "upper_bound": 3,
@@ -249,7 +248,7 @@ def test_report_above_brute_cap_leaves_verdict_open():
 
 def test_report_on_large_bound_meeting_sequence_skips_brute_force():
     r = check_optimality(construct_ruzsa(7))
-    assert dataclasses.asdict(r) == {
+    assert r.to_json() == {
         "group_order": 42,
         "size": 6,
         "upper_bound": 6,

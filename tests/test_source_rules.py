@@ -14,9 +14,15 @@
 - The names `__init__.py` imports are exactly `__all__` (less
   `__version__`), so removing an export means removing it from both.
 - Every exported name has a docstring of its own.
+- No module imports `dataclasses`, and importing the CLI loads none of
+  `dataclasses`, `inspect` or `typing`: each cold command pays for what
+  it imports, and those three cost about as much as the package itself.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +102,28 @@ def test_the_package_exports_exactly_what_it_imports():
 @pytest.mark.parametrize("name", [n for n in sidon2d.__all__ if n != "__version__"])
 def test_every_export_has_a_docstring(name):
     assert (getattr(sidon2d, name).__doc__ or "").strip(), f"{name} has no docstring"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses_import(path):
+    lines = [
+        node.lineno
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Import) and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert lines == [], f"{path.name} imports dataclasses on lines {lines}"
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # -S: no site hooks, which may import typing before the package does
+    script = (
+        "import sidon2d.cli, sys; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    package_root = str(Path(sidon2d.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": package_root}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout == "[]\n"
