@@ -157,6 +157,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     given = {o: _parse_int(getattr(args, o), f"--{o}") for o in INT_OPTIONS if getattr(args, o) is not None}
     if size not in given:
         raise ValueError(f"--family {args.family} requires --{size}")
+    other = "q" if size == "p" else "p"
+    if other in given:
+        raise ValueError(f"malformed options: --family {args.family} takes --{size}, not --{other}")
     if "beta" in given and "beta" not in options:
         raise ValueError("--beta only applies to --family golomb")
     if "alpha" in given and "alpha" not in options:

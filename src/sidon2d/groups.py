@@ -5,10 +5,11 @@ elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
 sums with repetition are distinct.  Every witness in the package comes
 from one first_collision scan over (key, pair) items; for differences,
-differences_distinct first answers yes or no a row of differences at a
-time, and only a set that fails is scanned.  A Sidon sequence in Z_n
-and a doubly periodic DDC in Z^2 modulo a lattice are both
-distinct-difference sets, told apart only by their subtraction:
+differences_distinct first answers yes or no a row at a time, by
+differences on a cyclic group's bitmap and by the n(n + 1)/2 sums in
+packed lanes elsewhere, and only a set that fails is scanned.  A Sidon
+sequence in Z_n and a doubly periodic DDC in Z^2 modulo a lattice are
+both distinct-difference sets, told apart only by their subtraction:
 first_difference_collision verifies either kind and
 max_distinct_difference_set searches either for its largest member.
 """
@@ -144,49 +145,54 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     pattern's dots mapped into Z^2 modulo its lattice by Lattice.phi.
     The elements must be distinct.
 
-    Row a holds the differences a - b over every b, a itself included,
-    and is built with a few big-int operations in one of two layouts,
-    chosen from the moduli and n alone:
+    It goes a row at a time, each row built with a few big-int
+    operations, in one of two layouts chosen from the moduli and n alone:
 
-    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m,
-      m <= 2n^2 and m <= 2^21.  An m-bit int has bit -b set for each b;
-      two copies of it end to end, shifted right by m - a, give row a
-      as bits a - b.  The set is Sidon exactly when each row meets the
-      union of the rows before it in the zero difference alone.  No
-      difference is stored.
-    - Packed lanes, for every other group.  Component i of an element
-      sits in a slot of s_i = m_i.bit_length() bits under a flag bit.
-      Slot i of a + (M - b) holds a_i - b_i + m_i in [1, 2m_i), which
-      fits the slot; adding 2^s_i - m_i raises the flag exactly where
-      that is at least m_i, and so where m_i must be subtracted to
-      leave the residue.  Each b has a lane of 64k bits in one int, so
-      a row costs a handful of whole-int operations, and its lanes join
-      one set as keys: one machine word when k = 1, a k-tuple of words
-      otherwise.  A key is not the residue but the words that hold it,
-      read in native byte order; it stands for the same difference in
-      every row and for no other, and equality is all a test of
-      distinctness asks of it.  A row adds n - 1 new keys and the zero
-      difference exactly when no difference has repeated, which is
-      counted after every row (pigeonhole).
+    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m <= 1024n.
+      Row a holds the differences a - b over every b, a itself
+      included.  An m-bit int has bit -b set for each b; two copies of
+      it end to end, shifted right by m - a, give row a as bits a - b.
+      The set is Sidon exactly when each row meets the union of the rows
+      before it in the zero difference alone.  No difference is stored.
+    - Packed lanes of sums, for every other group.  The set is Sidon
+      exactly when its sums with repetition are distinct (a - b = c - d
+      is a + d = c + b), so row i holds the sums a + b of a = elements[i]
+      and each b at or after it: n(n + 1)/2 keys in all, not n(n - 1).
+      The diagonal b = a stays, since only it catches 2-torsion: in
+      {0, e} with 2e = 0, e - 0 = 0 - e, and among the sums only
+      0 + 0 = e + e repeats.  Component i of an element sits in a slot
+      of s_i = m_i.bit_length() bits under a flag bit.  Slot i of a + b
+      holds a_i + b_i in [0, 2m_i), which fits the slot and its flag;
+      adding 2^s_i - m_i raises the flag exactly where that is at least
+      m_i, and so where m_i must be subtracted to leave the residue.
+      Each element has a lane of 64k bits in one int, and row i takes
+      the lanes from i on by a shift, so a row costs a handful of
+      whole-int operations; its lanes join one set as keys: one machine
+      word when k = 1, a k-tuple of words otherwise.  A key is not the
+      residue but the words that hold it, read in native byte order; it
+      stands for the same sum in every row and for no other, and
+      equality is all a test of distinctness asks of it.  Row i adds its
+      n - i keys exactly when no sum has repeated, which is counted
+      after every row (pigeonhole).
 
-    The rule: a row of lanes costs n set inserts, a bitmap row a few
-    passes over m bits, about m / 64 word operations, each far cheaper
-    than an insert.  A Sidon set needs m > n(n - 1), so a bitmap that
-    can hold one has at least about n^2 bits.  Measured at n = 1020
-    the layouts break even near m = 2n^2 (for smaller n the bitmap
-    stays ahead further out), and past that a sparse modulus, 10^18 or
-    more, would make the passes cost far more than the inserts.  The
-    break-even falls as n grows (8n^2 at n = 100), and 2^21 bits, just
-    above 2n^2 at n = 1020, is the largest bitmap it was measured for.
-    Past that size the choice is unmeasured, and a bitmap is built
-    whole before its first row can fail, where lanes stop at the first
-    short row; so larger cyclic groups take lanes.  So does a set with
-    n(n - 1) >= m, which cannot be Sidon: its n(n - 1) differences would
-    be distinct and nonzero.  Lanes refuse it by their count, with no
-    bitmap built.
+    The rule: a row of lanes costs at most n set inserts, a bitmap row a
+    few passes over m bits, about m / 64 word operations, each far
+    cheaper than an insert, so the layouts break even where m is a
+    multiple of n.  Timed on n-element subsets of Ruzsa sets in
+    Z_p(p - 1) (best of 5-9 alternating runs, Python 3.11 on a 2-vCPU
+    Xeon), the break-even lies near 850n at n = 100, 630n-950n at
+    n = 316, 750n-1000n at n = 500, 720n-900n at n = 724 and 1020n at
+    n = 1020, where Ruzsa p = 1021 and Bose q = 1024 take 0.14-0.16 s
+    either way; ties go to the bitmap, which stores no key.  A Sidon set
+    needs m > n(n - 1), so the rule admits n <= 1024 only and bitmaps of
+    at most 2^20 bits: a bitmap is built whole before its first row can
+    fail, where lanes stop at the first short row.  A set with
+    n(n - 1) >= m cannot be Sidon, since its n(n - 1) differences would
+    be distinct and nonzero; it takes lanes, which refuse it by their
+    count with no bitmap built.
     """
     n = len(elements)
-    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= min(2 * n * n, 2**21):
+    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= 1024 * n:
         return _rotation_distinct(moduli[0], [c for (c,) in elements])
     return _lanes_distinct(moduli, elements)
 
@@ -207,7 +213,7 @@ def _rotation_distinct(m: int, values: list[int]) -> bool:
 
 
 def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> bool:
-    """differences_distinct on any group by packed lanes."""
+    """differences_distinct on any group by packed lanes of sums."""
     widths = [m.bit_length() for m in moduli]
     offsets = [sum(widths[:i]) + i for i in range(len(widths))]
     words = -(-(offsets[-1] + widths[-1] + 1) // 64)
@@ -221,22 +227,24 @@ def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> boo
         flags_by_width[s] = flags_by_width.get(s, 0) | 1 << o + s
     packed = [sum(c << o for c, o in zip(el, offsets)) for el in elements]
     n = len(packed)
-    # one lane per b: rep has a 1 at the bottom of each, negated holds M - b
+    # one lane per element: rep has a 1 at the bottom of each, lanes holds it
     rep = int.from_bytes((b"\1" + bytes(lane - 1)) * n, "little")
-    negated = int.from_bytes(b"".join((mods - b).to_bytes(lane, "little") for b in packed), "little")
+    lanes = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in packed), "little")
     lift, flags, mods = lift * rep, sum(flags_by_width.values()) * rep, mods * rep
     by_width = [(s, f * rep) for s, f in flags_by_width.items()]
     seen: set = set()
-    for count, a in enumerate(packed, 1):
-        row = a * rep + negated
-        raised = row + lift & flags
+    for i, a in enumerate(packed):
+        # row i: a + b over the n - i lanes of packed[i:], a itself included
+        shift = 8 * lane * i
+        row = a * (rep >> shift) + (lanes >> shift)
+        raised = row + (lift >> shift) & flags >> shift
         over = 0
         for s, f in by_width:
-            f &= raised
+            f = f >> shift & raised
             over |= f - (f >> s)
-        keys = memoryview((row - (over & mods)).to_bytes(n * lane, "little")).cast("Q")
+        keys = memoryview((row - (over & mods >> shift)).to_bytes((n - i) * lane, "little")).cast("Q")
         seen.update(keys if words == 1 else zip(*[iter(keys)] * words))
-        if len(seen) != count * (n - 1) + 1:
+        if len(seen) != (i + 1) * (2 * n - i) // 2:
             return False
     return True
 

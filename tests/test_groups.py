@@ -17,7 +17,9 @@ from sidon2d import (
     verify_sidon_sums,
     verify_weak_sidon,
 )
-from sidon2d.groups import differences_distinct, first_difference_collision
+from sidon2d import groups
+from sidon2d.groups import _lanes_distinct, differences_distinct, first_difference_collision
+from sidon2d.sidon import construct_power_pairs
 
 
 def test_group_spec_basics():
@@ -163,7 +165,7 @@ def planted_subsets(draw):
     Moduli run up to 2^70, so a packed element can be wider than one
     64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
     Rank-1 groups fall on both sides of the rule that picks the rotating
-    bitmap (n(n - 1) < m <= 2n^2, m <= 2^21) over packed lanes."""
+    bitmap (n(n - 1) < m <= 1024n) over packed lanes."""
     modulus = (
         st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
     )
@@ -188,6 +190,10 @@ def planted_subsets(draw):
 # ten pairs (i, x^i) in Z_1023 x GF(1024)^+, the group of the power pairs
 # at q = 1024: for i < 10 the coefficients of x^i are the unit vector e_i
 POWER_PAIRS_SHAPED = [(i,) + tuple(int(j == i) for j in range(10)) for i in range(10)]
+# the power pairs at q = 16 in Z_15 x GF(16)^+, and with w = x - y + z
+# planted for their first three elements x, y, z
+POWER_PAIRS_16 = list(construct_power_pairs(16).elements)
+PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
 
 
 @given(planted_subsets())
@@ -195,25 +201,55 @@ POWER_PAIRS_SHAPED = [(i,) + tuple(int(j == i) for j in range(10)) for i in rang
 @example((GroupSpec((1,)), [(0,)]))
 @example((GroupSpec((1, 7, 1)), [(0, 0, 0), (0, 1, 0), (0, 3, 0)]))
 @example((GroupSpec((6,)), [(0,), (1,), (3,)]))
-@example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2: the bitmap
-@example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1: lanes
+@example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2
+@example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1
+@example((GroupSpec((3072,)), [(0,), (1,), (3,)]))  # m = 1024n: the bitmap
+@example((GroupSpec((3073,)), [(0,), (1,), (3,)]))  # m = 1024n + 1: lanes
 @example((GroupSpec((19,)), [(0,), (1,), (2,)]))
 @example((GroupSpec((20,)), [(0,), (1,), (4,), (14,), (16,)]))  # n(n - 1) = m: lanes
 @example((GroupSpec((21,)), [(0,), (1,), (4,), (14,), (16,)]))  # a perfect difference set
-@example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # the largest bitmap
+@example((GroupSpec((2**20,)), [(c,) for c in range(1024)]))  # the largest bitmap
+@example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # m = 2n^2: lanes
 @example((GroupSpec((2**21 + 1,)), [(c,) for c in range(1025)]))  # m <= 2n^2, but lanes
 @example((GroupSpec((2**70,)), [(0,), (2**70 - 1,), (2**69,)]))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED + [(1,) + (0,) * 10, (0,) + (1,) * 10]))
 @example((GroupSpec((1023, 2, 2, 2)), [(0, 0, 0, 0), (1022, 1, 0, 1), (1, 1, 1, 0), (1022, 0, 1, 1)]))
+@example((GroupSpec((2, 2)), [(0, 0), (0, 1)]))  # e1 = -e1: of the sums only 0 + 0 = e1 + e1
+@example((GroupSpec((4,)), [(0,), (2,)]))
+@example((GroupSpec((7,)), [(0,), (1,), (3,)]))  # n(n - 1) = |G| - 1
+@example((GroupSpec((15, 2, 2, 2, 2)), POWER_PAIRS_16))
+@example((GroupSpec((15, 2, 2, 2, 2)), PLANTED_16))
 @settings(max_examples=300, deadline=None)
 def test_verify_sidon_equals_the_ordered_scan(case):
     group, subset = case
     s = SidonSequence(group, subset)
     scan = first_difference_collision(s.elements, group.sub)
     assert verify_sidon(s) == scan
-    # verify_sidon falls back to the scan, so check the fast path alone too
+    # verify_sidon falls back to the scan, so check the fast path alone too,
+    # and the lanes alone, which the dispatch keeps from small cyclic groups
     assert differences_distinct(group.moduli, s.elements) == (scan is None)
+    assert _lanes_distinct(group.moduli, s.elements) == (scan is None)
+
+
+def test_lanes_form_one_key_per_sum(monkeypatch):
+    # a Sidon set in a non-cyclic group: every row is whole, and the rows
+    # form n(n + 1)/2 keys, one per sum a + b with b at or after a
+    s = construct_power_pairs(32)
+    formed = []
+
+    class CountingSet(set):
+        def update(self, *rows):
+            formed.extend(len(row) for row in rows)
+            super().update(*rows)
+
+    monkeypatch.setattr(groups, "set", CountingSet, raising=False)
+    assert verify_sidon(s) is None
+    monkeypatch.undo()
+    n = len(s)
+    assert n == 31
+    assert formed == list(range(n, 0, -1))
+    assert sum(formed) == n * (n + 1) // 2
 
 
 # -- counting bound -----------------------------------------------------------

@@ -114,8 +114,8 @@ def test_periodic_ddc_check_matches_the_ordered_scan(pattern):
 
 
 def test_a_dense_pattern_stops_within_two_rows_of_differences(monkeypatch):
-    # every cell a dot: the second row of differences already repeats, so
-    # the check forms 2n of the n^2 differences before its ordered scan;
+    # every cell a dot: the second row already repeats, so the check forms
+    # n sums and then n - 1 before its ordered scan, 2n - 1 of n(n + 1)/2;
     # they are counted as the rows reach the check's set of seen keys
     shape = Shape.rectangle(300, 300)
     pattern = PeriodicDdc(Lattice(((300, 0), (0, 300))), shape, shape.points)
@@ -130,7 +130,7 @@ def test_a_dense_pattern_stops_within_two_rows_of_differences(monkeypatch):
     collision = is_doubly_periodic_ddc(pattern)
     monkeypatch.undo()
     dots = sorted(shape.points)
-    assert sum(formed) == 2 * len(dots)
+    assert sum(formed) == 2 * len(dots) - 1
     assert collision == first_difference_collision(
         dots, lambda a, b: pattern.tiling.representative((a[0] - b[0], a[1] - b[1]))
     )
