@@ -262,12 +262,12 @@ REPROS = [
     (["construct", "--family", "ruzsa", "--p", "7", "--alpha", "+3"], ""),
     (["construct", "--family", "golomb", "--q", "7", "--beta", "3 "], ""),
     (["search", "--max-ddc", "--lattice", "1_0,0;0,1"], ""),
-    # a size option the family does not take is refused, not dropped
-    (["construct", "--family", "bose", "--q", "3", "--p", "5"], ""),
-    (["construct", "--family", "welch", "--p", "5", "--q", "9"], ""),
     (["directions", "--lattice", "2,0;0,3", "--shape", "2x\u0663"], ""),  # Arabic-Indic 3
     (["unfold", "--direction", "1,+1"], '{"lattice":[[2,0],[0,3]],"shape":[[0,0],[0,1],'
      '[0,2],[1,0],[1,1],[1,2]],"dots":[[0,1],[1,2]]}'),
+    # a size option the family does not take is refused, not dropped
+    (["construct", "--family", "bose", "--q", "3", "--p", "5"], ""),
+    (["construct", "--family", "welch", "--p", "5", "--q", "9"], ""),
 ]
 
 
