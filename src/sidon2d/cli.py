@@ -32,7 +32,7 @@ from .groups import (
     verify_sidon,
     verify_weak_sidon,
 )
-from .lattices import Lattice, Shape, Tiling, fundamental_shape
+from .lattices import MAX_RECTANGLE_CELLS, Lattice, Shape, Tiling, fundamental_shape
 from .sidon import (
     check_optimality,
     construct_bose,
@@ -56,6 +56,14 @@ WITNESSES = {
     "ddc": ("segment-collision", "difference"),
     "periodic-ddc": ("segment-collision", "difference"),
 }
+# A pair of ints as _emit_pattern writes it.  They follow JSON's grammar
+# in ASCII digits, so none of them reads differently from json.loads.
+# The patterns are compiled on first use, not by every command's import.
+_CELL = r"\[(-?(?:0|[1-9][0-9]*)), (-?(?:0|[1-9][0-9]*))\]"
+# the text _emit_pattern writes, up to the first shape cell
+_PATTERN_HEAD = rf'\{{"lattice": \[{_CELL}, {_CELL}\], "shape": (\[){_CELL}'
+_SHAPE_END = ']], "dots": '
+_DECODE = json.JSONDecoder().raw_decode
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -99,12 +107,18 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
         raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
 
 
-def _read_json(path: str | None) -> dict:
+def _read_text(path: str | None) -> str:
     if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+        return sys.stdin.read()
+    with open(path) as fh:
+        return fh.read()
+
+
+def _read_json(path: str | None) -> dict:
+    return _parse_json(_read_text(path))
+
+
+def _parse_json(text: str) -> dict:
     try:
         data = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -114,16 +128,69 @@ def _read_json(path: str | None) -> dict:
     return data
 
 
+def _read_pattern(path: str | None) -> PeriodicDdc:
+    """pattern_from_json(_read_json(path)), without a JSON object per
+    shape cell when the text is what _emit_pattern writes for a box."""
+    text = _read_text(path)
+    pattern = _box_pattern(text)
+    return pattern_from_json(_parse_json(text)) if pattern is None else pattern
+
+
+def _box_pattern(text: str) -> PeriodicDdc | None:
+    """The pattern when the text is exactly `{"lattice": [[a, b], [c, d]],
+    "shape": S, "dots": D}` and JSON whitespace, S being _box_json of the
+    box from its first to its last cell, within the cell cap; else None.
+
+    Only D is decoded as JSON, and the pattern is built as
+    pattern_from_json builds it, so that it raises the same first error.
+    Text that is not in this form, or whose D json.loads would refuse, is
+    left to pattern_from_json(json.loads(text)), which reads it and
+    names any fault.
+    """
+    head = re.match(_PATTERN_HEAD, text)
+    if head is None:
+        return None
+    start = head.start(5)
+    cut = text.find(_SHAPE_END, head.end() - 1)  # the shape ends at cut + 2
+    last = None if cut < 0 else re.compile(_CELL).fullmatch(text, text.rfind("[", start, cut), cut + 1)
+    if last is None:
+        return None
+    try:  # int() refuses ints of over 4300 digits, as json.loads does
+        a, b, c, d, x0, y0 = map(int, head.group(1, 2, 3, 4, 6, 7))
+        x1, y1 = map(int, last.groups())
+    except ValueError:
+        return None
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    if not (width > 0 < height and width * height <= MAX_RECTANGLE_CELLS):
+        return None
+    shape_text = _box_json(x0, y0, x1, y1)
+    if start + len(shape_text) != cut + 2 or not text.startswith(shape_text, start):
+        return None
+    try:
+        dots, end = _DECODE(text, cut + len(_SHAPE_END))
+    except (ValueError, RecursionError):
+        return None
+    if text[end:].rstrip(" \t\n\r") != "}":
+        return None
+    lattice = Lattice([[a, b], [c, d]])
+    return PeriodicDdc(lattice, Shape._of_box((x0, y0, x1, y1)), dots)
+
+
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
 def _shape_json(shape: Shape) -> str:
-    """json.dumps(shape.to_json()), a box written one column of cells at
-    a time as text, with no list object per cell."""
+    """json.dumps(shape.to_json()), a box written by _box_json."""
     x0, y0, x1, y1 = shape.bounds()
     if shape.size != (x1 - x0 + 1) * (y1 - y0 + 1):
         return json.dumps(shape.to_json())
+    return _box_json(x0, y0, x1, y1)
+
+
+def _box_json(x0: int, y0: int, x1: int, y1: int) -> str:
+    """json.dumps of the cells of [x0, x1] x [y0, y1] listed x-major,
+    written one column of cells at a time, with no list object per cell."""
     ys = [str(y) for y in range(y0, y1 + 1)]
     columns = (f"[{x}, " + f"], [{x}, ".join(ys) + "]" for x in range(x0, x1 + 1))
     return "[" + ", ".join(columns) + "]"
@@ -182,18 +249,18 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    data = _read_json(args.input)
     rank = 2  # DDC witnesses are points
-    if args.kind in ("sidon", "weak-sidon"):
-        seq = sequence_from_json(data)
-        rank = seq.group.rank
-        collision = (verify_sidon if args.kind == "sidon" else verify_weak_sidon)(seq)
+    if args.kind == "periodic-ddc":
+        collision = is_doubly_periodic_ddc(_read_pattern(args.input))
     elif args.kind == "ddc":
+        data = _read_json(args.input)
         if "dots" not in data:
             raise ValueError("ddc JSON needs a 'dots' key")
         collision = is_ddc(data["dots"])
     else:
-        collision = is_doubly_periodic_ddc(pattern_from_json(data))
+        seq = sequence_from_json(_read_json(args.input))
+        rank = seq.group.rank
+        collision = (verify_sidon if args.kind == "sidon" else verify_weak_sidon)(seq)
     if collision is None:
         _emit({"ok": True})
         return 0
@@ -221,7 +288,7 @@ def _cmd_fold(args: argparse.Namespace) -> int:
 
 
 def _cmd_unfold(args: argparse.Namespace) -> int:
-    pattern = pattern_from_json(_read_json(args.input))
+    pattern = _read_pattern(args.input)
     direction = _parse_ints(args.direction, "direction")
     anchor = None if args.anchor == "lower-left" else _parse_ints(args.anchor, "anchor")
     seq = unfold_to_sidon(pattern, direction, anchor)
@@ -234,7 +301,7 @@ def _cmd_directions(args: argparse.Namespace) -> int:
         lattice = _parse_lattice(args.lattice)
         tiling = Tiling(lattice, _parse_shape(args.shape, lattice))
     else:
-        tiling = pattern_from_json(_read_json(args.input)).tiling
+        tiling = _read_pattern(args.input).tiling
     dirs = folding_directions(tiling)
     _emit({"count": len(dirs), "directions": [list(d) for d in dirs]})
     return 0
@@ -262,7 +329,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
-    pattern = pattern_from_json(_read_json(args.input))
+    pattern = _read_pattern(args.input)
     print(render_ascii(pattern))
     return 0
 

@@ -27,8 +27,20 @@ from .numtheory import Record, as_ints, at_most, is_prime, prime_power
 
 
 def is_ddc(dots: Iterable[Point]) -> Collision | None:
-    """First repeated difference vector among distinct dots, if any."""
+    """First repeated difference vector among distinct dots, if any.
+
+    Shifted into the box [0, W) x [0, H) they span, the dots have
+    differences in (-W, W) x (-H, H), which reduction modulo (2W - 1,
+    2H - 1) keeps apart; so groups.differences_distinct decides in that
+    group, and only a set with a repeat is scanned for its witness.
+    """
     pts = sorted(set(as_ints(dots, "dots", None, 2)))
+    if len(pts) < 2:
+        return None
+    x0, y0 = pts[0][0], min(y for _, y in pts)
+    moduli = (2 * (pts[-1][0] - x0) + 1, 2 * (max(y for _, y in pts) - y0) + 1)
+    if differences_distinct(moduli, [(x - x0, y - y0) for x, y in pts]):
+        return None
     return first_difference_collision(pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
 
 

@@ -170,8 +170,14 @@ class Shape:
             raise ValueError(f"rectangle sides must be positive, got {width}x{height}")
         if width * height > MAX_RECTANGLE_CELLS:
             raise ValueError(f"rectangle {width}x{height} is over the {MAX_RECTANGLE_CELLS}-cell cap")
+        return cls._of_box((0, 0, width - 1, height - 1))
+
+    @classmethod
+    def _of_box(cls, box: tuple[int, int, int, int]) -> "Shape":
+        """The full box (x0, y0, x1, y1) of ints, x0 <= x1 and y0 <= y1,
+        with at most MAX_RECTANGLE_CELLS cells: checked by the caller."""
         shape = cls.__new__(cls)
-        shape._set((0, 0, width - 1, height - 1), None)
+        shape._set(box, None)
         return shape
 
     @property

@@ -322,6 +322,36 @@ def test_the_welch_chain_never_builds_box_cells(monkeypatch, capsys):
     assert run(["unfold", "--direction", "1,1"], folded) == sequence
 
 
+def test_a_pattern_at_the_cell_cap_is_read_in_bounded_memory():
+    """The Bose q = 1024 sequence folded onto 1023,0;0,1025 is a box
+    pattern of 2^20 - 1 cells in 12 MB of JSON.  Read as the CLI wrote
+    it, its shape costs no object per cell, so checking and unfolding it
+    fit under a 128 MB address-space limit where the platform has one;
+    a list per cell alone would take about 100 MB."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    sequence = run_cli("construct", "--family", "bose", "--q", "1024").stdout
+    pattern = run_cli("fold", "--lattice", "1023,0;0,1025", "--direction", "1,1", stdin=sequence).stdout
+    outputs = []
+    for argv in (["verify", "--kind", "periodic-ddc"], ["unfold", "--direction", "1,1"]):
+        proc = subprocess.run(
+            CLI + argv, input=pattern, capture_output=True, text=True, env=ENV, preexec_fn=limit
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(out_json(proc))
+    assert outputs[0] == {"ok": True}
+    # unfolding puts the lower-left dot at 0: the sequence comes back translated
+    m, elements = 1023 * 1025, json.loads(sequence)["elements"]
+    assert outputs[1]["modulus"] == m
+    assert any(sorted((e - s) % m for e in elements) == outputs[1]["elements"] for s in elements)
+
+
 def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     # a box written as text and any other shape through json.dumps
     sequence = json.dumps(sidon2d.sequence_to_json(sidon2d.construct_bose(5)))

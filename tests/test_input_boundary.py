@@ -268,6 +268,9 @@ REPROS = [
     # a size option the family does not take is refused, not dropped
     (["construct", "--family", "bose", "--q", "3", "--p", "5"], ""),
     (["construct", "--family", "welch", "--p", "5", "--q", "9"], ""),
+    # a pattern in the layout the CLI writes, with a number json.loads refuses
+    (["verify", "--kind", "periodic-ddc"], '{"lattice": [[\uff12, 0], [0, 1]], "shape": [[0, 0], [1, 0]], "dots": []}'),
+    (["unfold", "--direction", "1,1"], '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [01, 0]], "dots": []}'),
 ]
 
 
@@ -445,3 +448,163 @@ def argv_inputs(draw):
 def test_any_option_string_exits_cleanly(case):
     argv, stdin = case
     assert_clean_exit(argv, *run_main(argv, stdin))
+
+
+# -- the pattern reader ----------------------------------------------------------------
+#
+# `_read_pattern` reads the text the CLI writes for a box pattern without
+# a JSON object per shape cell, and leaves any other text to
+# pattern_from_json(json.loads(text)).  Whatever the text, the command must
+# end as it does when every text takes that full path.
+
+PATTERN_COMMANDS = [
+    ["verify", "--kind", "periodic-ddc"],
+    ["unfold", "--direction", "1,1"],
+    ["directions"],
+    ["render"],
+]
+
+
+def full_path_reader(path):
+    return cli.pattern_from_json(cli._read_json(path))
+
+
+def run_both(argv, stdin):
+    """run_main with the reader as it is, and forced onto the full path."""
+    fast = run_main(argv, stdin)
+    with mock.patch.object(cli, "_read_pattern", full_path_reader):
+        return fast, run_main(argv, stdin)
+
+
+def cli_output(argv, stdin=""):
+    code, out, err = run_main(argv, stdin)
+    assert (code, err) == (0, ""), err
+    return out
+
+
+BOSE5 = cli_output(["construct", "--family", "bose", "--q", "5"])
+MOVED_BOX = json.dumps([[x, y] for x in range(-1, 2) for y in range(-3, 5)])
+CANONICAL = [
+    cli_output(["construct", "--family", "welch", "--p", "7"]),
+    cli_output(["construct", "--family", "golomb", "--q", "8"]),
+    cli_output(["fold", "--lattice", "8,2;0,3", "--direction", "1,0"], BOSE5),
+    # a box that is not anchored at the origin
+    cli_output(["fold", "--lattice", "3,0;0,8", "--shape", MOVED_BOX, "--direction", "1,1"], BOSE5),
+]
+DOTS_KEY = '"dots": '
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def number_tokens(text):
+    """The numbers of the lattice, the first shape cell and the last one."""
+    numbers = list(re.finditer("-?[0-9]+", text))
+    shape_end = text.index("]], " + DOTS_KEY)
+    return numbers[:6] + [m for m in numbers if m.end() <= shape_end][-2:]
+
+
+def edit_whitespace(draw, text):
+    spots = [m.end() for m in re.finditer(r"[\[\]{},:]", text)]
+    at = draw(st.sampled_from(spots))
+    return text[:at] + draw(st.sampled_from([" ", "  ", "\n", "\t", "\r\n"])) + text[at:]
+
+
+def edit_number(draw, text):
+    token = draw(st.sampled_from(number_tokens(text)))
+    digits = token.group()
+    new = draw(st.sampled_from(["0" + digits, "-0", digits.translate(FULLWIDTH), digits + ".0"]))
+    return text[: token.start()] + new + text[token.end():]
+
+
+def edit_cell(draw, text):
+    start, end = text.index('"shape": '), text.index(DOTS_KEY)
+    cells = list(re.finditer(r"\[(-?[0-9]+), (-?[0-9]+)\]", text[start:end]))
+    cell = draw(st.sampled_from(cells[1:-1]))
+    x, y = int(cell.group(1)), int(cell.group(2)) + draw(st.sampled_from([-1, 1]))
+    return text[: start + cell.start()] + f"[{x}, {y}]" + text[start + cell.end():]
+
+
+def edit_dots(draw, text):
+    dots = draw(st.sampled_from(["[[NaN, 0]]", "NaN", "[[0.5, 1]]", "[[true, 0]]", "[[0, 0], [1, 1.0]]",
+                                 "[" * 100_000 + "]" * 100_000]))
+    return text[: text.index(DOTS_KEY) + len(DOTS_KEY)] + dots + "}\n"
+
+
+def edit_keys(draw, text):
+    data = json.loads(text)
+    order = draw(st.permutations(list(data)))
+    return json.dumps({key: data[key] for key in order}, indent=draw(st.sampled_from([None, 1])))
+
+
+EDITS = [
+    lambda draw, text: text,
+    edit_whitespace,
+    edit_keys,
+    lambda draw, text: text.replace(DOTS_KEY, '"shape": [[0, 0]], ' + DOTS_KEY),
+    lambda draw, text: text.rstrip()[:-1] + ', "shape": [[0, 0]]}',
+    lambda draw, text: text.replace('"shape"', '"sh\\u0061pe"'),
+    edit_number,
+    edit_cell,
+    edit_dots,
+    lambda draw, text: text[: draw(st.integers(0, len(text) - 2))],
+    # garbage, or whitespace that JSON does not allow
+    lambda draw, text: text + draw(st.sampled_from(["x", "}", ",", " 1", "{}", "\0", "\f", "\u00a0"])),
+]
+
+
+@st.composite
+def pattern_texts(draw):
+    text = draw(st.sampled_from(CANONICAL))
+    return draw(st.sampled_from(PATTERN_COMMANDS)), draw(st.sampled_from(EDITS))(draw, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_texts())
+def test_the_pattern_reader_ends_every_command_as_the_full_path_does(case):
+    argv, stdin = case
+    fast, full = run_both(argv, stdin)
+    assert fast == full
+    assert_clean_exit(argv, *fast)
+
+
+def box_text(x0, y0, x1, y1):
+    return json.dumps([[x, y] for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)])
+
+
+@pytest.mark.parametrize(
+    "stdin",
+    [
+        # first and last cells spanning a box far over the cap
+        '{"lattice": [[1, 0], [0, 1]], "shape": [[0, 0], [1000000000, 1000000000]], "dots": []}',
+        # the text of a box, then more cells
+        '{"lattice": [[1, 0], [0, 2]], "shape": [[0, 0], [0, 1]], [0, 1]], "dots": []}',
+        # a box without the origin
+        '{"lattice": [[2, 0], [0, 3]], "shape": ' + box_text(1, 1, 2, 3) + ', "dots": []}',
+        # faults in the lattice, the shape and the dots at once: the first is named
+        '{"lattice": [[2, 0], [4, 0]], "shape": ' + box_text(1, 1, 2, 3) + ', "dots": [[9, 9]]}',
+        '{"lattice": [[2, 0], [0, 3]], "shape": ' + box_text(0, 0, 2, 3) + ', "dots": [[9, 9]]}',
+        '{"lattice": [[2, 0], [0, 3]], "shape": ' + box_text(0, 0, 1, 2) + ', "dots": [[9, 9]]}',
+        # an integer of more digits than int() reads from text
+        '{"lattice": [[1' + "0" * 5000 + ', 0], [0, 1]], "shape": [[0, 0]], "dots": []}',
+    ],
+    ids=["far-over-cap", "cells-after-the-box", "no-origin", "singular-lattice", "no-tiling", "dot-outside", "long-int"],
+)
+def test_the_pattern_reader_refuses_as_the_full_path_does(stdin):
+    for argv in PATTERN_COMMANDS:
+        fast, full = run_both(argv, stdin)
+        assert fast == full
+        assert fast[0] == 1
+
+
+def test_the_pattern_reader_leaves_a_box_over_the_cap_to_the_full_path():
+    # as the CLI would write it, were it allowed to
+    stdin = '{"lattice": [[1, 0], [0, 1]], "shape": ' + box_text(0, 0, 0, CAP) + ', "dots": []}'
+    fast, full = run_both(["verify", "--kind", "periodic-ddc"], stdin)
+    assert fast == full == (1, "", f"error: shape is over the {CAP}-cell cap\n")
+
+
+def test_the_written_layout_never_reaches_pattern_from_json():
+    for text in CANONICAL:
+        for argv in PATTERN_COMMANDS:
+            expected = run_main(argv, text)
+            with mock.patch.object(cli, "pattern_from_json", side_effect=AssertionError("full path taken")):
+                assert run_main(argv, text) == expected
