@@ -133,20 +133,20 @@ def _read_pattern(path: str | None) -> PeriodicDdc:
     shape cell when the text is what _emit_pattern writes for a box."""
     text = _read_text(path)
     pattern = _box_pattern(text)
-    return pattern_from_json(_parse_json(text)) if pattern is None else pattern
+    if pattern is None:
+        data = _parse_json(text)
+        del text  # not held while the pattern is built
+        pattern = pattern_from_json(data)
+    return pattern
 
 
 def _box_pattern(text: str) -> PeriodicDdc | None:
     """The pattern when the text is exactly `{"lattice": [[a, b], [c, d]],
     "shape": S, "dots": D}` and JSON whitespace, S being _box_json of the
-    box from its first to its last cell, within the cell cap; else None.
-
-    Only D is decoded as JSON, and the pattern is built as
-    pattern_from_json builds it, so that it raises the same first error.
-    Text that is not in this form, or whose D json.loads would refuse, is
-    left to pattern_from_json(json.loads(text)), which reads it and
-    names any fault.
-    """
+    box from its first to its last cell, within the cell cap, and D any
+    JSON that json.loads reads; else None, for the full path to read.
+    Only D is decoded, and the pattern is built as pattern_from_json
+    builds it, so that it raises the same first error."""
     head = re.match(_PATTERN_HEAD, text)
     if head is None:
         return None
