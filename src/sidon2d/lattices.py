@@ -19,9 +19,9 @@ from .numtheory import Record, as_ints, at_most, xgcd
 Point = tuple[int, int]
 
 # The field order limit, so Bose q = 1024 fits; it bounds every shape.  Slowest at
-# the cap: a pattern whose shape is not a box, `directions` 6.8 s cold, 440 MB, and
-# `verify --kind periodic-ddc` 5.0-5.3 s, 512 MB.  On a box, `fold` of Bose q = 1024
-# onto 1023,0;0,1025 takes 0.55 s, 83 MB (2-vCPU Xeon, Python 3.11).
+# the cap: a pattern whose shape is not a box, `directions` 5.6-6.5 s cold, 439 MB, and
+# `verify --kind periodic-ddc` 4.1-4.9 s, 435 MB.  On a box, `fold` of Bose q = 1024
+# onto 1023,0;0,1025 takes 0.30-0.32 s, 38 MB (2-vCPU Xeon, Python 3.11).
 MAX_RECTANGLE_CELLS = 1 << 20
 
 
