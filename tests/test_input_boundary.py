@@ -269,8 +269,10 @@ REPROS = [
     (["construct", "--family", "bose", "--q", "3", "--p", "5"], ""),
     (["construct", "--family", "welch", "--p", "5", "--q", "9"], ""),
     # a pattern in the layout the CLI writes, with a number json.loads refuses
-    (["verify", "--kind", "periodic-ddc"], '{"lattice": [[\uff12, 0], [0, 1]], "shape": [[0, 0], [1, 0]], "dots": []}'),
-    (["unfold", "--direction", "1,1"], '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [01, 0]], "dots": []}'),
+    (["verify", "--kind", "periodic-ddc"],
+     '{"lattice": [[\uff12, 0], [0, 1]], "shape": [[0, 0], [1, 0]], "dots": []}'),
+    (["unfold", "--direction", "1,1"],
+     '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [01, 0]], "dots": []}'),
 ]
 
 
