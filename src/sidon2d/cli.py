@@ -44,6 +44,7 @@ from .sidon import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from typing import NoReturn
 
 SEQUENCE_FAMILIES = ("bose", "singer", "ruzsa", "power-pairs")
@@ -163,8 +164,12 @@ def _box_pattern(text: str) -> PeriodicDdc | None:
     width, height = x1 - x0 + 1, y1 - y0 + 1
     if not (width > 0 < height and width * height <= MAX_RECTANGLE_CELLS):
         return None
-    shape_text = _box_json(x0, y0, x1, y1)
-    if start + len(shape_text) != cut + 2 or not text.startswith(shape_text, start):
+    at = start  # compared a column at a time, so no copy of S is made
+    for column in _box_columns(x0, y0, x1, y1):
+        if not text.startswith(column, at):
+            return None
+        at += len(column)
+    if at != cut + 1:  # the columns end at the shape's closing "]"
         return None
     try:
         dots, end = _DECODE(text, cut + len(_SHAPE_END))
@@ -190,10 +195,16 @@ def _shape_json(shape: Shape) -> str:
 
 def _box_json(x0: int, y0: int, x1: int, y1: int) -> str:
     """json.dumps of the cells of [x0, x1] x [y0, y1] listed x-major,
-    written one column of cells at a time, with no list object per cell."""
+    with no list object per cell."""
+    return "".join(_box_columns(x0, y0, x1, y1)) + "]"
+
+
+def _box_columns(x0: int, y0: int, x1: int, y1: int) -> Iterator[str]:
+    """The text of _box_json without its closing "]", one column of cells
+    at a time, each after the "[" or ", " that precedes it."""
     ys = [str(y) for y in range(y0, y1 + 1)]
-    columns = (f"[{x}, " + f"], [{x}, ".join(ys) + "]" for x in range(x0, x1 + 1))
-    return "[" + ", ".join(columns) + "]"
+    for x in range(x0, x1 + 1):
+        yield ("[" if x == x0 else ", ") + f"[{x}, " + f"], [{x}, ".join(ys) + "]"
 
 
 def _emit_pattern(pattern: PeriodicDdc) -> None:

@@ -91,28 +91,6 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     )
 
 
-def window_ddc_violation(pattern: PeriodicDdc) -> tuple[Point, Collision] | None:
-    """Scan every distinct window position for a plain-DDC violation.
-
-    The window is the shape translated by t; the dots are those of the
-    doubly periodic extension falling inside it.  Shape cells enumerate
-    each window position once up to periodicity.  A pattern that passes
-    the modular check always passes this one; the converse is weaker
-    (a window can miss a collision that straddles copies).
-    """
-    representative = pattern.tiling.representative
-    for t in sorted(pattern.shape.points):
-        window = [
-            (x + t[0], y + t[1])
-            for x, y in pattern.shape.points
-            if representative((x + t[0], y + t[1])) in pattern.dots
-        ]
-        collision = is_ddc(window)
-        if collision is not None:
-            return t, collision
-    return None
-
-
 def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:
     """Dots (i, alpha^i mod p) on a (p-1)-wide, p-tall rectangle,
     replicated by the diagonal lattice [[p-1, 0], [0, p]]."""

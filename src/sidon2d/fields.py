@@ -239,28 +239,23 @@ class Field(Record):
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        self._check(a), self._check(b)
-        out = 0
-        unit = 1
-        for _ in range(self.k):
-            a, ca = divmod(a, self.p)
-            b, cb = divmod(b, self.p)
-            out += (ca + cb) % self.p * unit
-            unit *= self.p
-        return out
+        return self._digitwise(self._check(a), self._check(b), 1)
 
     def neg(self, a: int) -> int:
-        self._check(a)
-        out = 0
-        unit = 1
-        for _ in range(self.k):
-            a, ca = divmod(a, self.p)
-            out += -ca % self.p * unit
-            unit *= self.p
-        return out
+        return self._digitwise(0, self._check(a), -1)
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self._digitwise(self._check(a), self._check(b), -1)
+
+    def _digitwise(self, a: int, b: int, sign: int) -> int:
+        """a + sign * b in GF(p)^k: each base-p digit of the codes, mod p."""
+        p, out, unit = self.p, 0, 1
+        for _ in range(self.k):
+            a, ca = divmod(a, p)
+            b, cb = divmod(b, p)
+            out += (ca + sign * cb) % p * unit
+            unit *= p
+        return out
 
     def mul(self, a: int, b: int) -> int:
         self._check(a), self._check(b)

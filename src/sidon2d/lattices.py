@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from itertools import chain, product, repeat
+from itertools import product
 
 from .numtheory import Record, as_ints, at_most, xgcd
 
@@ -113,40 +113,14 @@ class Lattice(Record):
         return [list(r) for r in self.rows]
 
 
-def _box_bounds(cells: object) -> tuple[int, int, int, int] | None:
-    """(x0, y0, x1, y1) when cells is a list of exact int pairs naming
-    every cell of [x0, x1] x [y0, y1] once, x-major (as Shape.to_json
-    writes a box), else None.  The test is a few whole-list operations, so
-    a box read from JSON costs no Python step per cell; any other input is
-    left to as_ints, which reads it the same way or names what is wrong.
-    """
-    if type(cells) is not list:
-        return None
-    try:
-        flat = list(chain.from_iterable(cells)) if {*map(len, cells)} == {2} else []
-    except TypeError:
-        return None
-    if {*map(type, flat)} != {int}:
-        return None
-    xs, ys = flat[::2], flat[1::2]
-    x0, y0, x1, y1 = xs[0], ys[0], xs[-1], ys[-1]
-    width, height = x1 - x0 + 1, y1 - y0 + 1
-    columns = chain.from_iterable(repeat(x, height) for x in range(x0, x1 + 1))
-    if width < 1 or height < 1 or width * height != len(cells):
-        return None
-    if ys != list(range(y0, y1 + 1)) * width or xs != list(columns):
-        return None
-    return x0, y0, x1, y1
-
-
 class Shape:
     """Finite set of grid cells; the origin cell is the center.
 
-    A full box keeps only its bounds (x0, y0, x1, y1), whether it comes
-    from `rectangle` or from its cells listed x-major, so its size, bounds,
-    JSON and which cells lie in it need no set of cells; `points` is built
-    on first use.  Equality and hashing are those of the cell set, and
-    the repr lists the cells sorted.
+    A box made by `rectangle` keeps only its bounds (x0, y0, x1, y1), so
+    its size, bounds, JSON and which cells lie in it need no set of cells;
+    `points` is built on first use.  Any other shape, a list of a box's
+    cells too, keeps its cells as a frozenset.  Equality and hashing are
+    those of the cell set, and the repr lists the cells sorted.
     Every shape has at most MAX_RECTANGLE_CELLS cells.
     """
 
@@ -155,8 +129,7 @@ class Shape:
     def __init__(self, points: Iterable[Point]):
         cap = MAX_RECTANGLE_CELLS
         points = at_most(cap, points, f"shape is over the {cap}-cell cap")
-        box = _box_bounds(points)
-        self._set(box, None if box else frozenset(as_ints(points, "shape", None, 2)))
+        self._set(None, frozenset(as_ints(points, "shape", None, 2)))
 
     def _set(self, box: tuple[int, int, int, int] | None, points: frozenset[Point] | None) -> None:
         self._box, self._points = box, points

@@ -28,11 +28,11 @@ from sidon2d import (
     render_ascii,
     unfold_to_sidon,
     verify_sidon,
-    window_ddc_violation,
 )
 from sidon2d.fields import make_field
 from sidon2d.lattices import Tiling
 from sidon2d.numtheory import prime_power
+from window_oracle import window_ddc_violation
 
 WELCH7_DOTS = frozenset({(0, 1), (1, 3), (2, 2), (3, 6), (4, 4), (5, 5)})
 

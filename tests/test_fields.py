@@ -198,16 +198,18 @@ def test_table_build_rejects_a_non_primitive_generator(monkeypatch, p, k, elemen
 # -- ring axioms on coefficient arithmetic ----------------------------------
 
 
-@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3)])
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 3), (5, 1), (2, 5), (7, 2)])
 def test_addition_group_axioms(p, k):
     f = Field(p, k)
     for a in range(f.order):
         assert f.add(a, f.neg(a)) == 0
         assert f.add(a, 0) == a
+        assert f.neg(a) == code(p, [-x % p for x in f.coeffs(a)])
         for b in range(f.order):
             assert f.add(a, b) == f.add(b, a)
             assert f.sub(a, b) == f.add(a, f.neg(b))
             assert f.add(a, b) == code(p, [(x + y) % p for x, y in zip(f.coeffs(a), f.coeffs(b))])
+            assert f.sub(a, b) == code(p, [(x - y) % p for x, y in zip(f.coeffs(a), f.coeffs(b))])
 
 
 def test_distributivity_sampled():
