@@ -76,10 +76,11 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     isomorphism from Z^2 modulo the lattice onto Z_m1 x Z_m2, so the
     differences are distinct exactly when those of the dots' images are,
     which groups.differences_distinct checks a row of differences at a
-    time, stopping at the first row that repeats one: on a cyclic
+    time, stopping at the first row that repeats one: on a small cyclic
     quotient a row is a rotated bitmap of Z_|S|, otherwise n packed
-    keys, of which a pattern with a repeat adds at most about |S| + n
-    (pigeonhole).  Only then is it scanned in order for the witness.
+    sums, marked one at a time in a table of |S| bytes until one is
+    marked already, so at most |S| + 1 are looked up (pigeonhole).  Only
+    then is it scanned in order for the witness.
     """
     dots = sorted(pattern.dots)
     lattice = pattern.lattice

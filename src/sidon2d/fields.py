@@ -201,10 +201,10 @@ class Field(Record):
         self.p = p
         self.k = k
         self.order = order
-        # every degree has an irreducible polynomial, so this finds one
-        self.modulus: tuple[int, ...] = next(
-            c for c in itertools.product(range(p), repeat=k) if _is_irreducible(c, p, k)
-        )
+        # every degree has an irreducible polynomial, so this finds one;
+        # for k >= 2 one with c0 = 0 is divisible by x, so c0 starts at 1
+        candidates = itertools.product(range(1 if k > 1 else 0, p), *[range(p)] * (k - 1))
+        self.modulus: tuple[int, ...] = next(c for c in candidates if _is_irreducible(c, p, k))
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -248,7 +248,10 @@ class Field(Record):
         return self._digitwise(self._check(a), self._check(b), -1)
 
     def _digitwise(self, a: int, b: int, sign: int) -> int:
-        """a + sign * b in GF(p)^k: each base-p digit of the codes, mod p."""
+        """a + sign * b in GF(p)^k: each base-p digit of the codes, mod p;
+        when p = 2 that is the bitwise XOR, whatever the sign."""
+        if self.p == 2:
+            return a ^ b
         p, out, unit = self.p, 0, 1
         for _ in range(self.k):
             a, ca = divmod(a, p)

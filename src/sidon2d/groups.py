@@ -4,10 +4,13 @@ A Sidon sequence is a subset whose ordered differences of distinct
 elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
 sums with repetition are distinct.  Every witness in the package comes
-from one first_collision scan over (key, pair) items; for differences,
-differences_distinct first answers yes or no a row at a time, by
-differences on a cyclic group's bitmap and by the n(n + 1)/2 sums in
-packed lanes elsewhere, and only a set that fails is scanned.  A Sidon
+from one first_collision scan over (key, pair) items, and only a set
+that fails a faster yes-or-no check is scanned.  differences_distinct
+answers a row at a time, by differences on a small cyclic group's
+rotating bitmap and otherwise by the n(n + 1)/2 sums in packed lanes,
+marked in a table of one byte per element on a group of at most 2^21
+elements and kept in a set beyond; verify_weak_sidon runs the same
+lanes over the n(n - 1)/2 sums of distinct elements.  A Sidon
 sequence in Z_n and a doubly periodic DDC in Z^2 modulo a lattice are
 both distinct-difference sets, told apart only by their subtraction:
 first_difference_collision verifies either kind and
@@ -17,6 +20,7 @@ max_distinct_difference_set searches either for its largest member.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Hashable, Iterable, Iterator, Sequence
 from itertools import combinations, combinations_with_replacement, product
 
@@ -27,6 +31,10 @@ if TYPE_CHECKING:
     from typing import Any
 
 Element = tuple[int, ...]
+
+# A group of at most this order records its sums in a table of one byte
+# per element; a larger one in a set of the words that hold them.
+_TABLE_ORDER = 1 << 21
 
 
 class GroupSpec(Record):
@@ -148,7 +156,7 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     It goes a row at a time, each row built with a few big-int
     operations, in one of two layouts chosen from the moduli and n alone:
 
-    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m <= 1024n.
+    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m <= 600n.
       Row a holds the differences a - b over every b, a itself
       included.  An m-bit int has bit -b set for each b; two copies of
       it end to end, shifted right by m - a, give row a as bits a - b.
@@ -157,7 +165,7 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
     - Packed lanes of sums, for every other group.  The set is Sidon
       exactly when its sums with repetition are distinct (a - b = c - d
       is a + d = c + b), so row i holds the sums a + b of a = elements[i]
-      and each b at or after it: n(n + 1)/2 keys in all, not n(n - 1).
+      and each b at or after it: n(n + 1)/2 sums in all, not n(n - 1).
       The diagonal b = a stays, since only it catches 2-torsion: in
       {0, e} with 2e = 0, e - 0 = 0 - e, and among the sums only
       0 + 0 = e + e repeats.  Component i of an element sits in a slot
@@ -167,32 +175,38 @@ def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -
       m_i, and so where m_i must be subtracted to leave the residue.
       Each element has a lane of 64k bits in one int, and row i takes
       the lanes from i on by a shift, so a row costs a handful of
-      whole-int operations; its lanes join one set as keys: one machine
-      word when k = 1, a k-tuple of words otherwise.  A key is not the
-      residue but the words that hold it, read in native byte order; it
-      stands for the same sum in every row and for no other, and
-      equality is all a test of distinctness asks of it.  Row i adds its
-      n - i keys exactly when no sum has repeated, which is counted
-      after every row (pigeonhole).
+      whole-int operations per slot.
+      - On a group of at most _TABLE_ORDER = 2^21 elements, each lane's
+        slots become the index sum(c_j * W_j) of its residue, W_j the
+        order of the factors after j, and a table of one byte per
+        element marks the sums seen: the check stops at the first sum
+        already marked.
+      - A larger group joins each row's lanes to one set as keys: one
+        machine word when k = 1, a k-tuple of words otherwise.  A key is
+        not the residue but the words that hold it, read in native byte
+        order; it stands for the same sum in every row and for no other,
+        and equality is all a test of distinctness asks of it.  Row i
+        adds its n - i keys exactly when no sum has repeated, which is
+        counted after every row (pigeonhole).
 
-    The rule: a row of lanes costs at most n set inserts, a bitmap row a
-    few passes over m bits, about m / 64 word operations, each far
-    cheaper than an insert, so the layouts break even where m is a
-    multiple of n.  Timed on n-element subsets of Ruzsa sets in
-    Z_p(p - 1) (best of 5-9 alternating runs, Python 3.11 on a 2-vCPU
-    Xeon), the break-even lies near 850n at n = 100, 630n-950n at
-    n = 316, 750n-1000n at n = 500, 720n-900n at n = 724 and 1020n at
-    n = 1020, where Ruzsa p = 1021 and Bose q = 1024 take 0.14-0.16 s
-    either way; ties go to the bitmap, which stores no key.  A Sidon set
-    needs m > n(n - 1), so the rule admits n <= 1024 only and bitmaps of
-    at most 2^20 bits: a bitmap is built whole before its first row can
-    fail, where lanes stop at the first short row.  A set with
-    n(n - 1) >= m cannot be Sidon, since its n(n - 1) differences would
-    be distinct and nonzero; it takes lanes, which refuse it by their
-    count with no bitmap built.
+    The rule: a bitmap row costs a few passes over m bits, about m / 64
+    word operations, and a row of lanes a few whole-int operations per
+    slot and one table lookup per sum, so the layouts break even where m
+    is a multiple of n.  Timed on n-element subsets of Ruzsa sets in
+    Z_p(p - 1) (best of 14 runs, Python 3.11 on a 2-vCPU Xeon), the
+    bitmap is the faster up to about 720n-940n at n = 100, 600n at
+    n = 300 and 520n-600n at n = 600; on whole Ruzsa sets (n = p - 1,
+    m = pn) up to 520n-660n: at 331n, the Welch-sized group, 3.5 against
+    6.2 ms, and at 1021n, Ruzsa p = 1021, 92 against 49 ms.  Ties go to the bitmap, which stores no
+    sum.  A Sidon set needs m > n(n - 1), so the rule admits n <= 600
+    only and bitmaps of at most 360,600 bits: a bitmap is built whole
+    before its first row can fail, where lanes stop at the first
+    repeated sum.  A set with n(n - 1) >= m cannot be Sidon, since its
+    n(n - 1) differences would be distinct and nonzero; it takes lanes,
+    which refuse it with no bitmap built.
     """
     n = len(elements)
-    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= 1024 * n:
+    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= 600 * n:
         return _rotation_distinct(moduli[0], [c for (c,) in elements])
     return _lanes_distinct(moduli, elements)
 
@@ -212,8 +226,9 @@ def _rotation_distinct(m: int, values: list[int]) -> bool:
     return True
 
 
-def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> bool:
-    """differences_distinct on any group by packed lanes of sums."""
+def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: int = 0) -> bool:
+    """differences_distinct on any group by packed lanes of sums; with
+    skip = 1, whether the sums of two distinct elements are distinct."""
     widths = [m.bit_length() for m in moduli]
     offsets = [sum(widths[:i]) + i for i in range(len(widths))]
     words = -(-(offsets[-1] + widths[-1] + 1) // 64)
@@ -232,20 +247,42 @@ def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> boo
     lanes = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in packed), "little")
     lift, flags, mods = lift * rep, sum(flags_by_width.values()) * rep, mods * rep
     by_width = [(s, f * rep) for s, f in flags_by_width.items()]
-    seen: set = set()
-    for i, a in enumerate(packed):
-        # row i: a + b over the n - i lanes of packed[i:], a itself included
-        shift = 8 * lane * i
+    order = math.prod(moduli)
+    if order > _TABLE_ORDER:
+        seen: set = set()
+    else:
+        # slot j of a lane holds c_j, and its index is sum(c_j * W_j), W_j
+        # the order of the factors after j: its place in elements() order
+        table, slots, weight = bytearray(order), [], 1
+        for m, s, o in reversed(list(zip(moduli, widths, offsets))):
+            if m > 1:
+                slots.append((o, ((1 << s) - 1) * rep, weight))
+            weight *= m
+        compact = [o for o, _, _ in slots] != [0]  # else a lane is its own index
+        low = 0 if sys.byteorder == "little" else words - 1  # the word an index sits in
+    for i, a in enumerate(packed[: n - skip]):
+        # row i: a + b over the n - i - skip lanes of packed[i + skip:]
+        shift = 8 * lane * (i + skip)
         row = a * (rep >> shift) + (lanes >> shift)
-        raised = row + (lift >> shift) & flags >> shift
+        raised = row + (lift >> shift) & flags
         over = 0
         for s, f in by_width:
-            f = f >> shift & raised
+            f &= raised
             over |= f - (f >> s)
-        keys = memoryview((row - (over & mods >> shift)).to_bytes((n - i) * lane, "little")).cast("Q")
-        seen.update(keys if words == 1 else zip(*[iter(keys)] * words))
-        if len(seen) != (i + 1) * (2 * n - i) // 2:
-            return False
+        row -= over & mods
+        size = (n - i - skip) * lane
+        if order > _TABLE_ORDER:
+            keys = memoryview(row.to_bytes(size, "little")).cast("Q")
+            seen.update(keys if words == 1 else zip(*[iter(keys)] * words))
+            if len(seen) != (i + 1) * (2 * (n - skip) - i) // 2:
+                return False
+            continue
+        if compact:
+            row = sum((row >> o & mask) * w for o, mask, w in slots)
+        for k in memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[low::words]:
+            if table[k]:
+                return False
+            table[k] = 1
     return True
 
 
@@ -266,7 +303,11 @@ def verify_sidon_sums(seq: SidonSequence) -> Collision | None:
 
 
 def verify_weak_sidon(seq: SidonSequence) -> Collision | None:
-    """Like verify_sidon_sums but only sums of two distinct elements."""
+    """Like verify_sidon_sums but only sums of two distinct elements:
+    decided by the sum lanes with b after a, then scanned for the
+    witness only when some sum repeats."""
+    if _lanes_distinct(seq.group.moduli, seq.elements, skip=1):
+        return None
     add = seq.group.add
     return first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))
 

@@ -221,15 +221,21 @@ class Tiling:
     its coset; the matching lattice point (the "center" of the copy the
     point fell in) is the difference.  On the fundamental rectangle
     [0, a) x [0, d) of the triangular basis ((a, b), (0, d)) the coset
-    key is that cell, so only other shapes keep a key -> cell table.
+    key is that cell, and on its translate by a corner (x0, y0) the cell
+    of p is (x0, y0) + coset_key(p - (x0, y0)); only other shapes keep a
+    key -> cell table.
     """
 
     def __init__(self, lattice: Lattice, shape: Shape):
         (a, _), (_, d) = lattice.hnf
         self._cell_of_key: dict[Point, Point] | None = None
+        x0, y0, x1, y1 = shape.bounds()
         # the size alone would pass a transposed d x a box
-        if not (shape.size == a * d and shape.bounds() == (0, 0, a - 1, d - 1)):
+        if shape.size == a * d and (x1 - x0, y1 - y0) == (a - 1, d - 1):
+            self._corner = x0, y0
+        else:
             key = lattice.coset_key
+            self._corner = 0, 0  # the table's keys are cells of [0, a) x [0, d)
             self._cell_of_key = {key(p): p for p in shape.points}
             # a transversal: one cell per coset, and as many cells as cosets
             if not len(self._cell_of_key) == shape.size == lattice.volume:
@@ -246,11 +252,17 @@ class Tiling:
 
     def representative(self, point: Point) -> Point:
         """The cell of the shape congruent to the point."""
+        x0, y0 = self._corner
+        if x0 or y0:
+            x, y = self.lattice.coset_key((point[0] - x0, point[1] - y0))
+            return x + x0, y + y0
         key = self.lattice.coset_key(point)
         return key if self._cell_of_key is None else self._cell_of_key[key]
 
     def cells(self, points: Iterable[Point]) -> list[Point]:
         """The cell of the shape congruent to each point, in order."""
+        if any(self._corner):
+            return list(map(self.representative, points))
         keys = map(self.lattice.coset_key, points)
         if self._cell_of_key is None:
             return list(keys)

@@ -352,6 +352,33 @@ def test_a_pattern_at_the_cell_cap_is_read_in_bounded_memory():
     assert any(sorted((e - s) % m for e in elements) == outputs[1]["elements"] for s in elements)
 
 
+def test_a_shifted_box_at_the_cell_cap_is_checked_in_bounded_memory():
+    """The same box pattern moved by (-1, -1), so that its box is a
+    translate of the fundamental rectangle [0, 1023) x [0, 1025), not the
+    rectangle itself.  Each point reduces into it by the closed form, so
+    the check builds no cell and no table of the 2^20 - 1 cells, and it
+    fits under the same 128 MB address-space limit."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (128 << 20, 128 << 20))
+
+    sequence = run_cli("construct", "--family", "bose", "--q", "1024").stdout
+    pattern = run_cli("fold", "--lattice", "1023,0;0,1025", "--direction", "1,1", stdin=sequence).stdout
+    dots = json.loads(pattern[pattern.index('"dots": ') + 8 : pattern.rindex("}")])
+    shifted = json.dumps([[x - 1, y - 1] for x, y in dots])
+    del pattern
+    text = f'{{"lattice": [[1023, 0], [0, 1025]], "shape": {cli._box_json(-1, -1, 1021, 1023)}, "dots": {shifted}}}'
+    proc = subprocess.run(
+        CLI + ["verify", "--kind", "periodic-ddc"], input=text, capture_output=True, text=True, env=ENV,
+        preexec_fn=limit,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", '{"ok": true}\n')
+
+
 def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     # a box written as text and any other shape through json.dumps
     sequence = json.dumps(sidon2d.sequence_to_json(sidon2d.construct_bose(5)))

@@ -111,7 +111,8 @@ def patterns(draw):
     The quotient is cyclic when gcd(a, b, d) = 1 and Z_m1 x Z_m2 with
     m1 > 1 otherwise; up to 16 dots in up to 144 cells put cyclic
     quotients on both sides of the rule that picks the rotating bitmap
-    (n(n - 1) < m <= 1024n) over packed lanes."""
+    (n(n - 1) < m <= 600n) over packed lanes, whose sums every quotient
+    of at most 144 elements marks in a table."""
     a, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     lattice = Lattice(((a, draw(st.integers(0, d - 1))), (0, d)))
     shape = fundamental_shape(lattice)

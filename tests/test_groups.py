@@ -18,7 +18,7 @@ from sidon2d import (
     verify_weak_sidon,
 )
 from sidon2d import groups
-from sidon2d.groups import _lanes_distinct, differences_distinct, first_difference_collision
+from sidon2d.groups import Collision, _lanes_distinct, differences_distinct, first_difference_collision
 from sidon2d.sidon import construct_power_pairs
 
 
@@ -165,7 +165,8 @@ def planted_subsets(draw):
     Moduli run up to 2^70, so a packed element can be wider than one
     64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
     Rank-1 groups fall on both sides of the rule that picks the rotating
-    bitmap (n(n - 1) < m <= 1024n) over packed lanes."""
+    bitmap (n(n - 1) < m <= 600n) over packed lanes, and groups on both
+    sides of 2^21, the largest order whose sums are marked in a table."""
     modulus = (
         st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
     )
@@ -203,14 +204,19 @@ PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
 @example((GroupSpec((6,)), [(0,), (1,), (3,)]))
 @example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2
 @example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1
-@example((GroupSpec((3072,)), [(0,), (1,), (3,)]))  # m = 1024n: the bitmap
-@example((GroupSpec((3073,)), [(0,), (1,), (3,)]))  # m = 1024n + 1: lanes
+@example((GroupSpec((1800,)), [(0,), (1,), (3,)]))  # m = 600n: the bitmap
+@example((GroupSpec((1801,)), [(0,), (1,), (3,)]))  # m = 600n + 1: lanes
 @example((GroupSpec((19,)), [(0,), (1,), (2,)]))
 @example((GroupSpec((20,)), [(0,), (1,), (4,), (14,), (16,)]))  # n(n - 1) = m: lanes
 @example((GroupSpec((21,)), [(0,), (1,), (4,), (14,), (16,)]))  # a perfect difference set
-@example((GroupSpec((2**20,)), [(c,) for c in range(1024)]))  # the largest bitmap
-@example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # m = 2n^2: lanes
-@example((GroupSpec((2**21 + 1,)), [(c,) for c in range(1025)]))  # m <= 2n^2, but lanes
+@example((GroupSpec((360000,)), [(c,) for c in range(600)]))  # the largest bitmap
+@example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # the largest table
+@example((GroupSpec((2**21 + 1,)), [(c,) for c in range(1025)]))  # the set
+@example((GroupSpec((2**21,)), [(0,), (1,), (3,)]))
+@example((GroupSpec((2**21 + 1,)), [(0,), (1,), (3,)]))
+@example((GroupSpec((2**11, 2**10)), [(0, 0), (1, 1), (3, 9), (7, 3)]))
+@example((GroupSpec((1,) * 40 + (7,)), [(0,) * 40 + (c,) for c in (0, 1, 3)]))  # a lane of two words
+@example((GroupSpec((1,) * 40 + (7,)), [(0,) * 40 + (c,) for c in (0, 1, 2)]))
 @example((GroupSpec((2**70,)), [(0,), (2**70 - 1,), (2**69,)]))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED))
 @example((GroupSpec((1023,) + (2,) * 10), POWER_PAIRS_SHAPED + [(1,) + (0,) * 10, (0,) + (1,) * 10]))
@@ -232,24 +238,70 @@ def test_verify_sidon_equals_the_ordered_scan(case):
     assert _lanes_distinct(group.moduli, s.elements) == (scan is None)
 
 
+@given(planted_subsets())
+@example((GroupSpec((2, 2)), [(0, 0), (0, 1)]))  # weak Sidon, not Sidon: 0 + 0 = e1 + e1
+@example((GroupSpec((10,)), [(0,), (1,), (4,), (5,)]))  # 0 + 5 = 1 + 4, in the table
+@example((GroupSpec((10**18,)), [(0,), (1,), (4,), (5,)]))  # and in the set
+@example((GroupSpec((1,) * 40 + (7,)), [(0,) * 40 + (c,) for c in (0, 1, 3)]))
+@example((GroupSpec((15, 2, 2, 2, 2)), POWER_PAIRS_16))
+@example((GroupSpec((15, 2, 2, 2, 2)), PLANTED_16))
+@settings(max_examples=300, deadline=None)
+def test_verify_weak_sidon_equals_the_pair_scan(case):
+    group, subset = case
+    s = SidonSequence(group, subset)
+    scan, seen = None, {}
+    for a, b in itertools.combinations(s.elements, 2):
+        key = group.add(a, b)
+        if key in seen:
+            scan = Collision(key, seen[key], (a, b))
+            break
+        seen[key] = (a, b)
+    assert verify_weak_sidon(s) == scan
+    assert _lanes_distinct(group.moduli, s.elements, skip=1) == (scan is None)
+
+
 def test_lanes_form_one_key_per_sum(monkeypatch):
-    # a Sidon set in a non-cyclic group: every row is whole, and the rows
-    # form n(n + 1)/2 keys, one per sum a + b with b at or after a
+    # a Sidon set in a non-cyclic group of 992 elements: every row is
+    # whole, and the rows mark n(n + 1)/2 cells of the table, one per sum
+    # a + b with b at or after a, at its place in the group's elements()
     s = construct_power_pairs(32)
-    formed = []
+    marked = []
 
-    class CountingSet(set):
-        def update(self, *rows):
-            formed.extend(len(row) for row in rows)
-            super().update(*rows)
+    class CountingTable(bytearray):
+        def __setitem__(self, key, value):
+            marked.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(groups, "set", CountingSet, raising=False)
+    monkeypatch.setattr(groups, "bytearray", CountingTable, raising=False)
     assert verify_sidon(s) is None
     monkeypatch.undo()
     n = len(s)
     assert n == 31
-    assert formed == list(range(n, 0, -1))
-    assert sum(formed) == n * (n + 1) // 2
+    index = {el: i for i, el in enumerate(s.group.elements())}
+    rows = [[index[s.group.add(a, b)] for b in s.elements[i:]] for i, a in enumerate(s.elements)]
+    assert [len(row) for row in rows] == list(range(n, 0, -1))
+    assert marked == [k for row in rows for k in row]
+    assert len(marked) == n * (n + 1) // 2
+
+
+def test_a_group_over_the_table_order_keeps_one_key_per_sum(monkeypatch):
+    # Z_(10^18) takes no table: each row adds its n - i keys to one set,
+    # and with b after a (the weak check) n - i - 1
+    s = SidonSequence.from_ints(10**18, [0, 1, 3, 7, 12, 20])
+    formed = []
+
+    class CountingSet(set):
+        def update(self, *rows):
+            rows = [list(row) for row in rows]
+            formed.append(sum(map(len, rows)))
+            super().update(*rows)
+
+    monkeypatch.setattr(groups, "set", CountingSet, raising=False)
+    assert verify_sidon(s) is None
+    assert formed == [6, 5, 4, 3, 2, 1]
+    formed.clear()
+    assert verify_weak_sidon(s) is None
+    assert formed == [5, 4, 3, 2, 1]
 
 
 # -- counting bound -----------------------------------------------------------

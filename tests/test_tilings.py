@@ -39,14 +39,18 @@ def in_span(point, rows) -> bool:
 @st.composite
 def tilings(draw):
     """An HNF lattice of volume at most 40 with its fundamental rectangle,
-    a sheared copy (row y moved by y times (a, b)) or a shifted
-    transversal (each cell but the origin moved by a lattice vector)."""
+    a translate of it that keeps the origin, a sheared copy (row y moved
+    by y times (a, b)) or a shifted transversal (each cell but the origin
+    moved by a lattice vector)."""
     a = draw(st.integers(1, 40))
     d = draw(st.integers(1, 40 // a))
     b = draw(st.integers(0, d - 1))
     lattice = Lattice(((a, b), (0, d)))
     cells = sorted(fundamental_shape(lattice).points)
-    form = draw(st.sampled_from(["rectangle", "sheared", "shifted"]))
+    form = draw(st.sampled_from(["rectangle", "translated", "sheared", "shifted"]))
+    if form == "translated":
+        x0, y0 = -draw(st.integers(0, a - 1)), -draw(st.integers(0, d - 1))
+        return Tiling(lattice, Shape._of_box((x0, y0, x0 + a - 1, y0 + d - 1)))
     if form == "sheared":
         cells = [(x + y * a, y + y * b) for x, y in cells]
     elif form == "shifted":
@@ -114,23 +118,29 @@ def test_periodic_ddc_check_matches_the_ordered_scan(pattern):
 
 
 def test_a_dense_pattern_stops_within_two_rows_of_differences(monkeypatch):
-    # every cell a dot: the second row already repeats, so the check forms
-    # n sums and then n - 1 before its ordered scan, 2n - 1 of n(n + 1)/2;
-    # they are counted as the rows reach the check's set of seen keys
+    # every cell a dot: the first row of sums marks all n elements of
+    # Z_300 x Z_300 in the check's table, so the first sum of the second
+    # row is already marked, and the check reads n + 1 cells and marks n
+    # of the n(n + 1)/2 sums before its ordered scan
     shape = Shape.rectangle(300, 300)
     pattern = PeriodicDdc(Lattice(((300, 0), (0, 300))), shape, shape.points)
-    formed = []
+    read, marked = [], []
 
-    class CountingSet(set):
-        def update(self, *rows):
-            formed.extend(len(row) for row in rows)
-            super().update(*rows)
+    class CountingTable(bytearray):
+        def __getitem__(self, key):
+            read.append(key)
+            return super().__getitem__(key)
 
-    monkeypatch.setattr(groups, "set", CountingSet, raising=False)
+        def __setitem__(self, key, value):
+            marked.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(groups, "bytearray", CountingTable, raising=False)
     collision = is_doubly_periodic_ddc(pattern)
     monkeypatch.undo()
     dots = sorted(shape.points)
-    assert sum(formed) == 2 * len(dots) - 1
+    assert (len(read), len(marked)) == (len(dots) + 1, len(dots))
+    assert sorted(marked) == list(range(len(dots)))
     assert collision == first_difference_collision(
         dots, lambda a, b: pattern.tiling.representative((a[0] - b[0], a[1] - b[1]))
     )
