@@ -210,12 +210,12 @@ def _box_columns(x0: int, y0: int, x1: int, y1: int) -> Iterator[str]:
 def _emit_pattern(pattern: PeriodicDdc) -> None:
     """_emit(pattern_to_json(pattern)), the shape spliced in by _shape_json."""
     lattice = json.dumps(pattern.lattice.to_json())
-    dots = json.dumps([list(d) for d in sorted(pattern.dots)])
+    dots = json.dumps(sorted(pattern.dots))
     print(f'{{"lattice": {lattice}, "shape": {_shape_json(pattern.shape)}, "dots": {dots}}}')
 
 
 def _element_json(element: tuple[int, ...], rank: int):
-    return element[0] if rank == 1 else list(element)
+    return element[0] if rank == 1 else element
 
 
 # -- subcommands -------------------------------------------------------------
@@ -314,7 +314,7 @@ def _cmd_directions(args: argparse.Namespace) -> int:
     else:
         tiling = _read_pattern(args.input).tiling
     dirs = folding_directions(tiling)
-    _emit({"count": len(dirs), "directions": [list(d) for d in dirs]})
+    _emit({"count": len(dirs), "directions": dirs})
     return 0
 
 
@@ -335,7 +335,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     # the default shape is left to the search, which checks its cap first
     shape = None if args.shape is None else _parse_shape(args.shape, lattice)
     size, witness = max_ddc_dots(lattice, shape)
-    _emit({"max": size, "witness": [list(d) for d in witness]})
+    _emit({"max": size, "witness": witness})
     return 0
 
 

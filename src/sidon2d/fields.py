@@ -25,6 +25,7 @@ slots, and the integer code of the current one.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from functools import lru_cache
 
@@ -308,18 +309,11 @@ class Field(Record):
         self._check(x)
         if x == 0:
             raise ValueError("0 has no multiplicative order")
-        n = self.order - 1
-        o = n
-        lx = self.log_table[x]
-        for r in factorize(n) if n > 1 else {}:
-            while o % r == 0 and lx * (o // r) % n == 0:
-                o //= r
-        return o
+        n = self.order - 1  # x = g^log(x) in a cyclic group of order n
+        return n // math.gcd(self.log_table[x], n)
 
     def is_primitive(self, x: int) -> bool:
-        if x == 0:
-            return False
-        return self.element_order(x) == self.order - 1
+        return x != 0 and math.gcd(self.log_table[self._check(x)], self.order - 1) == 1
 
     def primitive_or_generator(self, alpha: int | None, name: str) -> int:
         """alpha, checked to be primitive; the generator when alpha is None."""

@@ -23,6 +23,9 @@ Direction = tuple[int, int]
 
 
 def _check_direction(direction: Direction) -> Direction:
+    if type(direction) is tuple and len(direction) == 2 and direction != (0, 0):
+        if type(direction[0]) is int and type(direction[1]) is int:  # the common case first
+            return direction
     d = as_ints(direction, "direction", 2)
     if d == (0, 0):
         raise ValueError(f"direction must be a nonzero pair of integers, got {direction!r}")
@@ -75,8 +78,9 @@ def folding_directions(tiling: Tiling) -> list[Direction]:
 
 def _folding(tiling: Tiling, direction: Direction) -> Direction:
     """The checked direction; raises unless it folds the tiling."""
-    d = _check_direction(direction)
-    if not defines_folding_gcd(tiling.lattice, tiling.size, d):
+    d1, d2 = d = _check_direction(direction)
+    # a tiling's size is its lattice's volume, checked when it was built
+    if not _folds(tiling.lattice.rows, tiling.size, d1, d2):
         raise ValueError(f"direction {direction} does not define a folding")
     return d
 
@@ -86,7 +90,7 @@ def folded_cells(tiling: Tiling, direction: Direction, positions: Iterable[int])
     row; raises unless d folds, which makes the cells of t = 0..|S|-1
     all distinct."""
     d1, d2 = _folding(tiling, direction)
-    return tiling.cells((t * d1, t * d2) for t in positions)
+    return [tiling.representative((t * d1, t * d2)) for t in positions]
 
 
 def folded_positions(tiling: Tiling, direction: Direction, points: Iterable[Point]) -> list[int]:

@@ -19,9 +19,9 @@ from .numtheory import Record, as_ints, at_most, xgcd
 Point = tuple[int, int]
 
 # The field order limit, so Bose q = 1024 fits; it bounds every shape.  Slowest at
-# the cap: a pattern whose shape is not a box, `directions` 5.6-6.5 s cold, 439 MB, and
-# `verify --kind periodic-ddc` 4.1-4.9 s, 435 MB.  On a box, `fold` of Bose q = 1024
-# onto 1023,0;0,1025 takes 0.30-0.32 s, 38 MB (2-vCPU Xeon, Python 3.11).
+# the cap: a pattern whose shape is not a box, 303 MB cold for `directions` (4.7 s),
+# `verify --kind periodic-ddc` (3.4 s) and `unfold` (3.6 s).  On a box, `fold` of Bose
+# q = 1024 onto 1023,0;0,1025 takes 0.30-0.32 s, 38 MB (2-vCPU Xeon, Python 3.11).
 MAX_RECTANGLE_CELLS = 1 << 20
 
 
@@ -219,30 +219,38 @@ class Tiling:
 
     Reduction sends any grid point to the unique cell of the shape in
     its coset; the matching lattice point (the "center" of the copy the
-    point fell in) is the difference.  On the fundamental rectangle
-    [0, a) x [0, d) of the triangular basis ((a, b), (0, d)) the coset
-    key is that cell, and on its translate by a corner (x0, y0) the cell
-    of p is (x0, y0) + coset_key(p - (x0, y0)); only other shapes keep a
-    key -> cell table.
+    point fell in) is the difference.  With the triangular basis
+    ((a, b), (0, d)), a coset key is a cell of [0, a) x [0, d).  On a
+    translate of that rectangle by a corner (x0, y0), the rectangle itself
+    too, the cell of p is (x0, y0) + coset_key(p - (x0, y0)).  Any other
+    shape keeps a list of its cells, the one of key (x, y) in slot
+    x * d + y, and reads it at coset_key(p): its corner is (0, 0).  At the
+    cell cap the list is 8 MB; a key -> cell dict in its place cost 136 MB more.
     """
 
     def __init__(self, lattice: Lattice, shape: Shape):
         (a, _), (_, d) = lattice.hnf
-        self._cell_of_key: dict[Point, Point] | None = None
         x0, y0, x1, y1 = shape.bounds()
+        self._cells: list[Point] | None = None
         # the size alone would pass a transposed d x a box
         if shape.size == a * d and (x1 - x0, y1 - y0) == (a - 1, d - 1):
             self._corner = x0, y0
         else:
-            key = lattice.coset_key
-            self._corner = 0, 0  # the table's keys are cells of [0, a) x [0, d)
-            self._cell_of_key = {key(p): p for p in shape.points}
-            # a transversal: one cell per coset, and as many cells as cosets
-            if not len(self._cell_of_key) == shape.size == lattice.volume:
+            self._corner = 0, 0
+            cells = [None] * shape.size
+            if shape.size == lattice.volume:
+                key = lattice.coset_key
+                for p in shape.points:
+                    x, y = key(p)
+                    cells[x * d + y] = p
+            # a transversal: as many cells as cosets, and one in each; by
+            # pigeonhole a coset met twice leaves another slot empty
+            if shape.size != lattice.volume or None in cells:
                 raise ValueError(
                     f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
                     f" (volume {lattice.volume})"
                 )
+            self._cells = cells
         self.lattice = lattice
         self.shape = shape
 
@@ -253,20 +261,10 @@ class Tiling:
     def representative(self, point: Point) -> Point:
         """The cell of the shape congruent to the point."""
         x0, y0 = self._corner
-        if x0 or y0:
-            x, y = self.lattice.coset_key((point[0] - x0, point[1] - y0))
+        x, y = self.lattice.coset_key((point[0] - x0, point[1] - y0))
+        if self._cells is None:
             return x + x0, y + y0
-        key = self.lattice.coset_key(point)
-        return key if self._cell_of_key is None else self._cell_of_key[key]
-
-    def cells(self, points: Iterable[Point]) -> list[Point]:
-        """The cell of the shape congruent to each point, in order."""
-        if any(self._corner):
-            return list(map(self.representative, points))
-        keys = map(self.lattice.coset_key, points)
-        if self._cell_of_key is None:
-            return list(keys)
-        return list(map(self._cell_of_key.__getitem__, keys))
+        return self._cells[x * self.lattice.hnf[1][1] + y]
 
 
 def minimal_period(lattice: Lattice, shape: Shape, dots: Iterable[Point]) -> Lattice:

@@ -379,6 +379,40 @@ def test_a_shifted_box_at_the_cell_cap_is_checked_in_bounded_memory():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", '{"ok": true}\n')
 
 
+def test_a_box_with_one_cell_moved_at_the_cell_cap_is_read_in_bounded_memory():
+    """The same box pattern with its last shape cell (1022, 1024) moved to
+    (-1, 1024), a cell of the same coset: still a transversal, but no box,
+    so the shape is read as JSON and every cell is reduced.  The tiling
+    keeps one list slot per cell, no key -> cell table, so checking,
+    unfolding and listing directions each fit under a 384 MB
+    address-space limit (about 300 MB at peak, 2-vCPU Xeon); a table of
+    the 2^20 - 1 keys took some 440 MB."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (384 << 20, 384 << 20))
+
+    sequence = run_cli("construct", "--family", "bose", "--q", "1024").stdout
+    pattern = run_cli("fold", "--lattice", "1023,0;0,1025", "--direction", "1,1", stdin=sequence).stdout
+    dots = json.loads(pattern[pattern.index('"dots": ') + 8 : pattern.rindex("}")])
+    assert pattern.count("[1022, 1024]]") == 1 and [1022, 1024] not in dots
+    moved = pattern.replace("[1022, 1024]]", "[-1, 1024]]", 1)
+    del pattern
+    outputs = []
+    for argv in (["verify", "--kind", "periodic-ddc"], ["unfold", "--direction", "1,1"], ["directions"]):
+        proc = subprocess.run(CLI + argv, input=moved, capture_output=True, text=True, env=ENV, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(out_json(proc))
+    assert outputs[0] == {"ok": True}
+    m, elements = 1023 * 1025, json.loads(sequence)["elements"]
+    assert outputs[1]["modulus"] == m
+    assert any(sorted((e - s) % m for e in elements) == outputs[1]["elements"] for s in elements)
+    assert outputs[2]["count"] == 480_000  # phi(1023 * 1025)
+
+
 def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     # a box written as text and any other shape through json.dumps
     sequence = json.dumps(sidon2d.sequence_to_json(sidon2d.construct_bose(5)))

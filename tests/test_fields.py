@@ -268,6 +268,16 @@ def test_element_order_and_primitivity():
     assert not f.is_primitive(0)
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 4), (3, 3), (5, 2), (7, 2)])
+def test_element_order_is_the_first_power_to_reach_one(p, k):
+    # the order read off the log table against the first power of x that is 1
+    f = Field(p, k)
+    for x in range(1, f.order):
+        e = next(e for e in itertools.count(1) if f.pow(x, e) == 1)
+        assert f.element_order(x) == e
+        assert f.is_primitive(x) == (e == f.order - 1)
+
+
 # -- construction and serialisation ------------------------------------------
 
 

@@ -146,12 +146,12 @@ def test_a_transposed_box_of_the_right_size_does_not_tile():
 
 
 def test_a_shifted_box_reduces_into_its_own_cells():
-    # the 2 x 3 box moved one column left: a transversal, not the
-    # fundamental rectangle, so its cells are looked up, not computed
+    # the 2 x 3 box moved one column left: a translate of the fundamental
+    # rectangle by its corner (-1, 0), so its cells are computed from it
     shape = Shape(frozenset((x, y) for x in (-1, 0) for y in range(3)))
     tiling = Tiling(Lattice(((2, 0), (0, 3))), shape)
     assert tiling.representative((1, 4)) == (-1, 1)
-    assert tiling.cells([(1, 4), (2, 2), (0, 0)]) == [(-1, 1), (0, 2), (0, 0)]
+    assert list(map(tiling.representative, [(1, 4), (2, 2), (0, 0)])) == [(-1, 1), (0, 2), (0, 0)]
 
 
 def test_rectangle_cells_and_json_order():

@@ -70,12 +70,16 @@ points = st.lists(st.tuples(st.integers(-90, 90), st.integers(-90, 90)), max_siz
 @example(Tiling(Lattice(((2, 0), (0, 3))), Shape(frozenset({(-1, 0), (-1, 1), (-1, 2), (0, 0), (0, 1), (0, 2)}))), [(1, 4)])
 @settings(max_examples=200, deadline=None)
 def test_cells_are_shape_cells_congruent_to_the_points(tiling, pts):
-    cells = tiling.cells(pts)
+    cells = list(map(tiling.representative, pts))
     assert len(cells) == len(pts)
     for p, c in zip(pts, cells):
         assert c in tiling.shape.points
         assert in_span((p[0] - c[0], p[1] - c[1]), tiling.lattice.rows)
-        assert tiling.representative(p) == c
+        assert tiling.representative(c) == c
+    # the row's batch path: the cells of t * d for a folding direction d
+    ts = [x for x, _ in pts]
+    for d1, d2 in folding_directions(tiling)[:1]:
+        assert folded_cells(tiling, (d1, d2), ts) == [tiling.representative((t * d1, t * d2)) for t in ts]
 
 
 def ordered_scan(pattern: PeriodicDdc) -> Collision | None:
