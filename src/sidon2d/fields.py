@@ -305,13 +305,6 @@ class Field(Record):
 
     # -- multiplicative structure -------------------------------------------
 
-    def element_order(self, x: int) -> int:
-        self._check(x)
-        if x == 0:
-            raise ValueError("0 has no multiplicative order")
-        n = self.order - 1  # x = g^log(x) in a cyclic group of order n
-        return n // math.gcd(self.log_table[x], n)
-
     def is_primitive(self, x: int) -> bool:
         return x != 0 and math.gcd(self.log_table[self._check(x)], self.order - 1) == 1
 

@@ -328,22 +328,27 @@ def max_distinct_difference_set(
     lexicographically smallest witness.  The elements are a whole group,
     or one representative of each coset, the identity among them.
 
-    Depth-first over the other elements in sorted order, each
-    difference key a bit of an int.  A node keeps its used differences
-    and, in order, the later candidates that can still join, each with
-    the differences it would bring; choosing one drops only those it
-    rules out for good.  A branch is cut when all candidates left cannot
-    beat the best size, so the first maximum found is the
-    lexicographically smallest one.  Stops early at the counting bound.
+    Depth-first over the other elements in sorted order, each difference a
+    bit of an int at its rank: the index of the element it equals taken from
+    the identity.  A node keeps its used differences and, in order, the
+    later candidates that can still join, each with the differences it would
+    bring; choosing one drops only those it rules out for good.  A branch is
+    cut when the candidates left, or the unused differences, are too few to
+    beat the best: k more members bring k(2d + k - 1) new differences to d.
+    A set has a translate with its lowest-ranked difference second, so the
+    branch on a second member c uses no rank below c.  The smallest maximum
+    has it second, or that translate would be smaller, so it is still the
+    first maximum found.  Stops early at the counting bound.
     """
     items = sorted(elements)
     upper_bound = sidon_upper_bound(len(items))
     items.remove(identity)
     items.insert(0, identity)
-    ids: dict = {}
-    bits = [[1 << ids.setdefault(diff(a, b), len(ids)) for b in items] for a in items]
+    rank = {diff(a, identity): i for i, a in enumerate(items)}
+    bits = [[1 << rank[diff(a, b)] for b in items] for a in items]
     # pair[c][y]: the bits of c - y and y - c, or 0 when the two coincide
     pair = [[0 if cy == yc else cy | yc for cy, yc in zip(row, col)] for row, col in zip(bits, zip(*bits))]
+    usable = sum(1 << y for y, ab in enumerate(pair[0]) if ab)  # nonzero, not of order 2
     chosen = [0]
     best = [0]
 
@@ -353,10 +358,15 @@ def max_distinct_difference_set(
             best[:] = chosen
             if depth == upper_bound:
                 return True
+        k = len(best) + 1 - depth
+        if k * (2 * depth + k - 1) > (usable & ~used).bit_count():
+            return False  # too few unused differences for k more members
         for pos, (c, cmask) in enumerate(admissible):
             if depth + len(admissible) - pos <= len(best):
                 break  # cannot beat the best even taking every candidate left
             row, used_c = pair[c], used | cmask
+            if depth == 1:
+                used_c |= (1 << c) - 1  # c is the lowest-ranked difference
             chosen.append(c)
             if extend(used_c, [(y, ymask | ab) for y, ymask in admissible[pos + 1 :] for ab in [row[y]]
                                if ab and not (ab & (used_c | ymask) or ymask & cmask)]):

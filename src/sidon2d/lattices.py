@@ -106,9 +106,6 @@ class Lattice(Record):
         x, y = point
         return tuple((x * cx + y * cy) % m for (cx, cy), m in zip(self._columns, self.moduli))
 
-    def __contains__(self, point: Point) -> bool:
-        return self.coset_key(point) == (0, 0)
-
     def to_json(self) -> list[list[int]]:
         return [list(r) for r in self.rows]
 

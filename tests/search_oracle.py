@@ -1,9 +1,13 @@
 """The set-based exhaustive search, kept as the tests' reference.
 
-The package searches on bitsets with forward checking; this builds the
-set of new differences for every candidate at every node and cuts a
-branch only by the number of candidates left, so the tests can check
-the engine's sizes and witnesses against the search it replaced.
+The package numbers differences by rank on the bits of an int, drops
+candidates by forward checking, searches only the translate of each set
+whose second member is its lowest-ranked difference, and cuts a branch
+when too few differences are left unused.  This builds the set of new
+differences for every candidate at every node, searches every set with
+the identity, and cuts a branch only by the number of candidates left,
+so the tests can check the engine's sizes and witnesses against a
+search that takes none of those shortcuts.
 """
 
 from __future__ import annotations

@@ -329,6 +329,17 @@ def test_max_dots_small_cases():
     assert max_ddc_dots(Lattice(((1, 1), (-1, 2))), tromino)[0] == 2
 
 
+def test_max_dots_frozen_values():
+    """The two slowest tilings the search benchmark runs, with the
+    witnesses the search found before it searched canonical translates."""
+    assert max_ddc_dots(Lattice(((6, 0), (0, 8)))) == (
+        6, ((0, 0), (0, 1), (0, 3), (1, 0), (2, 2), (5, 5))
+    )
+    assert max_ddc_dots(Lattice(((4, 0), (0, 11)))) == (
+        6, ((0, 0), (0, 1), (0, 3), (1, 0), (1, 4), (2, 9))
+    )
+
+
 def test_max_dots_respects_the_cap():
     with pytest.raises(ValueError):
         max_ddc_dots(Lattice(((7, 0), (0, 8))), Shape.rectangle(7, 8))

@@ -52,6 +52,7 @@ def small_tilings(draw):
 @example(GroupSpec((1,)))
 @example(GroupSpec((2, 2)))
 @example(GroupSpec((3, 3, 3)))
+@example(GroupSpec((2, 2, 3)))  # the witness's second member is not the first candidate
 @settings(max_examples=150, deadline=None)
 def test_group_search_matches_the_reference(group):
     candidates = sorted(group.elements())
@@ -65,6 +66,7 @@ def test_group_search_matches_the_reference(group):
 @given(small_tilings())
 @example((Lattice(((1, 0), (0, 1))), Shape(frozenset({(0, 0)}))))
 @example((Lattice(((1, 1), (-1, 2))), Shape(frozenset({(0, 0), (1, 0), (0, 1)}))))
+@example((Lattice(((7, 1), (0, 2))), fundamental_shape(Lattice(((7, 1), (0, 2))))))
 @settings(max_examples=150, deadline=None)
 def test_tiling_search_matches_the_reference(case):
     lattice, shape = case

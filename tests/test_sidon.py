@@ -1,5 +1,6 @@
 """Constructions and exhaustive oracles for Sidon sequences."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -160,6 +161,9 @@ def test_max_sidon_frozen_values():
     assert max_sidon_size(GroupSpec((1,))) == (1, ((0,),))
     # in characteristic 2 any pair sums to the identity twice
     assert max_sidon_size(GroupSpec((2, 2))) == (1, ((0, 0),))
+    assert max_sidon_size(GroupSpec((2, 4, 6))) == (
+        5, ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 2), (1, 0, 2))
+    )
 
 
 def test_max_sidon_at_the_cap_edge():
@@ -169,6 +173,16 @@ def test_max_sidon_at_the_cap_edge():
     assert max_sidon_size(GroupSpec((58,))) == (7, head + ((43,),))
     assert max_sidon_size(GroupSpec((59,))) == (7, head + ((34,),))
     assert max_sidon_size(GroupSpec((60,))) == (7, head + ((38,),))
+
+
+def test_max_sidon_on_every_group_under_the_cap():
+    """All 102 abelian groups of order at most 60, against one sha256 of
+    the sizes and witnesses the search gave before it searched only
+    canonical translates."""
+    results = [(g.moduli, max_sidon_size(g)) for n in range(1, 61) for g in abelian_group_specs(n)]
+    assert len(results) == 102
+    digest = hashlib.sha256(repr(results).encode()).hexdigest()
+    assert digest == "931431cb098ca0b5bb5fdd8cc1ef8e5b39246fad8c479a1b424395c12c9e077f"
 
 
 def test_max_sidon_matches_the_subset_filter():
