@@ -23,9 +23,7 @@ from .lattices import (
 )
 from .folding import (
     defines_folding_gcd,
-    fold,
     folding_directions,
-    unfold,
 )
 from .sidon import (
     OptimalityReport,
@@ -46,8 +44,6 @@ from .ddc import (
     is_doubly_periodic_ddc,
     lower_left_dot,
     max_ddc_dots,
-    pattern_from_json,
-    pattern_to_json,
     render_ascii,
     unfold_to_sidon,
 )
@@ -73,9 +69,7 @@ __all__ = [
     "fundamental_shape",
     "minimal_period",
     "defines_folding_gcd",
-    "fold",
     "folding_directions",
-    "unfold",
     "OptimalityReport",
     "abelian_group_specs",
     "check_optimality",
@@ -92,8 +86,6 @@ __all__ = [
     "is_doubly_periodic_ddc",
     "lower_left_dot",
     "max_ddc_dots",
-    "pattern_from_json",
-    "pattern_to_json",
     "render_ascii",
     "unfold_to_sidon",
     "__version__",

@@ -20,7 +20,6 @@ from .ddc import (
     is_ddc,
     is_doubly_periodic_ddc,
     max_ddc_dots,
-    pattern_from_json,
     render_ascii,
     unfold_to_sidon,
 )
@@ -130,24 +129,28 @@ def _parse_json(text: str) -> dict:
 
 
 def _read_pattern(path: str | None) -> PeriodicDdc:
-    """pattern_from_json(_read_json(path)), without a JSON object per
-    shape cell when the text is what _emit_pattern writes for a box."""
+    """The pattern as _emit_pattern writes it, or a ValueError; without a
+    JSON object per shape cell when the text is what it writes for a box."""
     text = _read_text(path)
     pattern = _box_pattern(text)
     if pattern is None:
         data = _parse_json(text)
         del text  # not held while the pattern is built
-        pattern = pattern_from_json(data)
+        try:
+            lattice, shape, dots = data["lattice"], data["shape"], data["dots"]
+        except KeyError as missing:
+            raise ValueError(f"pattern JSON is missing the {missing} key") from None
+        pattern = PeriodicDdc(Lattice(lattice), Shape(shape), dots)
     return pattern
 
 
 def _box_pattern(text: str) -> PeriodicDdc | None:
     """The pattern when the text is exactly `{"lattice": [[a, b], [c, d]],
-    "shape": S, "dots": D}` and JSON whitespace, S being _box_json of the
+    "shape": S, "dots": D}` and JSON whitespace, S being _shape_json of the
     box from its first to its last cell, within the cell cap, and D any
     JSON that json.loads reads; else None, for the full path to read.
-    Only D is decoded, and the pattern is built as pattern_from_json
-    builds it, so that it raises the same first error."""
+    Only D is decoded, and the pattern is built as the full path builds
+    it, so that it raises the same first error."""
     head = re.match(_PATTERN_HEAD, text)
     if head is None:
         return None
@@ -186,30 +189,26 @@ def _emit(obj: dict) -> None:
 
 
 def _shape_json(shape: Shape) -> str:
-    """json.dumps(shape.to_json()), a box written by _box_json."""
+    """json.dumps of the cells in sorted order; a full box is sorted
+    already when listed x-major, so it is written with no list per cell."""
     x0, y0, x1, y1 = shape.bounds()
     if shape.size != (x1 - x0 + 1) * (y1 - y0 + 1):
-        return json.dumps(shape.to_json())
-    return _box_json(x0, y0, x1, y1)
-
-
-def _box_json(x0: int, y0: int, x1: int, y1: int) -> str:
-    """json.dumps of the cells of [x0, x1] x [y0, y1] listed x-major,
-    with no list object per cell."""
+        return json.dumps(sorted(shape.points))
     return "".join(_box_columns(x0, y0, x1, y1)) + "]"
 
 
 def _box_columns(x0: int, y0: int, x1: int, y1: int) -> Iterator[str]:
-    """The text of _box_json without its closing "]", one column of cells
-    at a time, each after the "[" or ", " that precedes it."""
+    """The text of the box [x0, x1] x [y0, y1] without its closing "]",
+    one column of cells at a time, each after the "[" or ", " before it."""
     ys = [str(y) for y in range(y0, y1 + 1)]
     for x in range(x0, x1 + 1):
         yield ("[" if x == x0 else ", ") + f"[{x}, " + f"], [{x}, ".join(ys) + "]"
 
 
 def _emit_pattern(pattern: PeriodicDdc) -> None:
-    """_emit(pattern_to_json(pattern)), the shape spliced in by _shape_json."""
-    lattice = json.dumps(pattern.lattice.to_json())
+    """The pattern as one JSON object of lattice rows, shape cells and
+    dots, cells sorted; the shape text is spliced in by _shape_json."""
+    lattice = json.dumps(pattern.lattice.rows)
     dots = json.dumps(sorted(pattern.dots))
     print(f'{{"lattice": {lattice}, "shape": {_shape_json(pattern.shape)}, "dots": {dots}}}')
 

@@ -22,7 +22,7 @@ from .groups import (
     max_distinct_difference_set,
     verify_sidon,
 )
-from .lattices import Lattice, Point, Shape, Tiling, fundamental_shape
+from .lattices import MAX_RECTANGLE_CELLS, Lattice, Point, Shape, Tiling, fundamental_shape
 from .numtheory import Record, as_ints, at_most, is_prime, prime_power
 
 
@@ -173,6 +173,7 @@ def fold_sidon_to_ddc(
 
 
 DDC_SEARCH_CAP = 49
+RENDER_CELL_CAP = 4 * MAX_RECTANGLE_CELLS  # so a box with a cell moved past its edge renders
 
 
 def max_ddc_dots(lattice: Lattice, shape: Shape | None = None) -> tuple[int, tuple[Point, ...]]:
@@ -196,35 +197,17 @@ def max_ddc_dots(lattice: Lattice, shape: Shape | None = None) -> tuple[int, tup
 
 def render_ascii(pattern: PeriodicDdc) -> str:
     """One fundamental copy, rows printed top to bottom: a bullet for a
-    dot, a dot character for an empty cell, blank outside the shape."""
-    min_x, min_y, max_x, max_y = pattern.shape.bounds()
-    lines = []
-    for y in range(max_y, min_y - 1, -1):
-        row = []
-        for x in range(min_x, max_x + 1):
-            if (x, y) in pattern.dots:
-                row.append("•")
-            elif (x, y) in pattern.shape:
-                row.append(".")
-            else:
-                row.append(" ")
-        lines.append("".join(row).rstrip())
-    return "\n".join(lines)
-
-
-def pattern_to_json(pattern: PeriodicDdc) -> dict:
-    """The pattern as JSON: lattice rows, shape cells and dots, cells sorted."""
-    return {
-        "lattice": pattern.lattice.to_json(),
-        "shape": pattern.shape.to_json(),
-        "dots": [list(d) for d in sorted(pattern.dots)],
-    }
-
-
-def pattern_from_json(data: dict) -> PeriodicDdc:
-    """The pattern that pattern_to_json wrote, or a ValueError."""
-    try:
-        lattice, shape, dots = data["lattice"], data["shape"], data["dots"]
-    except KeyError as missing:
-        raise ValueError(f"pattern JSON is missing the {missing} key") from None
-    return PeriodicDdc(Lattice(lattice), Shape(shape), dots)
+    dot, a dot character for an empty cell, blank outside the shape; one
+    character list per row, refused beyond RENDER_CELL_CAP bounding box cells."""
+    x0, y0, x1, y1 = pattern.shape.bounds()
+    width, height = x1 - x0 + 1, y1 - y0 + 1
+    if width * height > RENDER_CELL_CAP:
+        raise ValueError(f"bounding box {width}x{height} is over the {RENDER_CELL_CAP}-cell render cap")
+    box = pattern.shape.size == width * height
+    rows = [["." if box else " "] * width for _ in range(height)]
+    if not box:
+        for x, y in pattern.shape.points:
+            rows[y1 - y][x - x0] = "."
+    for x, y in pattern.dots:
+        rows[y1 - y][x - x0] = "•"
+    return "\n".join("".join(row).rstrip() for row in rows)

@@ -3,18 +3,19 @@
 A direction d lays sequence position t on the shape cell congruent to
 t*d modulo the lattice.  When those |S| cells are all distinct, the
 direction "defines a folding": the row of cells is a bijection between
-sequence positions 0..|S|-1 and shape cells, and fold/unfold transport
-symbols across it in both directions.  Whether a direction folds is
-decided in closed form by `defines_folding_gcd`; the tests keep the
-step-by-step walk as the reference it is checked against.  Cells of the
-row come from the coset formula, and positions of cells from the
-lattice's map phi onto the cyclic quotient Z_|S|.
+sequence positions 0..|S|-1 and shape cells, and `folded_cells` and
+`folded_positions` carry positions and cells across it in both
+directions.  Whether a direction folds is decided in closed form by
+`defines_folding_gcd`; the tests keep the step-by-step walk as the
+reference it is checked against.  Cells of the row come from the coset
+formula, and positions of cells from the lattice's map phi onto the
+cyclic quotient Z_|S|.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Hashable, Iterable, Mapping, Sequence
+from collections.abc import Iterable
 
 from .lattices import Lattice, Point, Tiling
 from .numtheory import as_ints, euler_phi, modinv
@@ -101,23 +102,3 @@ def folded_positions(tiling: Tiling, direction: Direction, points: Iterable[Poin
     (step,) = phi(_folding(tiling, direction))
     inverse = modinv(step, n)
     return [phi(p)[0] * inverse % n for p in points]
-
-
-def fold(
-    seq: Sequence[Hashable], tiling: Tiling, direction: Direction
-) -> dict[Point, Hashable]:
-    """Lay a length-|S| sequence onto the shape along the folded row."""
-    row = folded_cells(tiling, direction, range(tiling.size))
-    if len(seq) != tiling.size:
-        raise ValueError(f"sequence length {len(seq)} != shape size {tiling.size}")
-    return dict(zip(row, seq))
-
-
-def unfold(
-    array: Mapping[Point, Hashable], tiling: Tiling, direction: Direction
-) -> list[Hashable]:
-    """Read the shape's cells back into a sequence along the folded row."""
-    row = folded_cells(tiling, direction, range(tiling.size))
-    if set(array) != tiling.shape.points:
-        raise ValueError("array cells do not match the shape")
-    return [array[cell] for cell in row]

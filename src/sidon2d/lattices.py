@@ -106,15 +106,12 @@ class Lattice(Record):
         x, y = point
         return tuple((x * cx + y * cy) % m for (cx, cy), m in zip(self._columns, self.moduli))
 
-    def to_json(self) -> list[list[int]]:
-        return [list(r) for r in self.rows]
-
 
 class Shape:
     """Finite set of grid cells; the origin cell is the center.
 
     A box made by `rectangle` keeps only its bounds (x0, y0, x1, y1), so
-    its size, bounds, JSON and which cells lie in it need no set of cells;
+    its size, bounds, text and which cells lie in it need no set of cells;
     `points` is built on first use.  Any other shape, a list of a box's
     cells too, keeps its cells as a frozenset.  Equality and hashing are
     those of the cell set, and the repr lists the cells sorted.
@@ -178,14 +175,6 @@ class Shape:
             return cell in self._points
         x0, y0, x1, y1 = self._box
         return x0 <= cell[0] <= x1 and y0 <= cell[1] <= y1
-
-    def to_json(self) -> list[list[int]]:
-        """The cells as [x, y] lists in sorted order; a full box is sorted
-        already when listed x-major."""
-        min_x, min_y, max_x, max_y = self.bounds()
-        if self.size == (max_x - min_x + 1) * (max_y - min_y + 1):
-            return [[x, y] for x in range(min_x, max_x + 1) for y in range(min_y, max_y + 1)]
-        return [list(p) for p in sorted(self._points)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Shape):

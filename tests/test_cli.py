@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sidon2d
-from sidon2d import Shape, Tiling, cli, construct_welch, pattern_to_json
+from sidon2d import Lattice, Shape, Tiling, cli, construct_welch, fold_sidon_to_ddc
 
 CLI = [sys.executable, "-m", "sidon2d"]
 # The children run the package these tests import, whether it is
@@ -32,6 +32,13 @@ def run_cli(*args, stdin: str | None = None) -> subprocess.CompletedProcess:
 
 def out_json(proc: subprocess.CompletedProcess) -> dict:
     return json.loads(proc.stdout)
+
+
+def pattern_json(pattern) -> str:
+    """The text the CLI writes for a pattern, built here from its parts."""
+    return json.dumps(
+        {"lattice": pattern.lattice.rows, "shape": sorted(pattern.shape.points), "dots": sorted(pattern.dots)}
+    )
 
 
 # -- construct --------------------------------------------------------------
@@ -371,7 +378,8 @@ def test_a_shifted_box_at_the_cell_cap_is_checked_in_bounded_memory():
     dots = json.loads(pattern[pattern.index('"dots": ') + 8 : pattern.rindex("}")])
     shifted = json.dumps([[x - 1, y - 1] for x, y in dots])
     del pattern
-    text = f'{{"lattice": [[1023, 0], [0, 1025]], "shape": {cli._box_json(-1, -1, 1021, 1023)}, "dots": {shifted}}}'
+    box = cli._shape_json(Shape._of_box((-1, -1, 1021, 1023)))
+    text = f'{{"lattice": [[1023, 0], [0, 1025]], "shape": {box}, "dots": {shifted}}}'
     proc = subprocess.run(
         CLI + ["verify", "--kind", "periodic-ddc"], input=text, capture_output=True, text=True, env=ENV,
         preexec_fn=limit,
@@ -415,15 +423,16 @@ def test_a_box_with_one_cell_moved_at_the_cell_cap_is_read_in_bounded_memory():
 
 def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     # a box written as text and any other shape through json.dumps
-    sequence = json.dumps(sidon2d.sequence_to_json(sidon2d.construct_bose(5)))
-    moved = [[-1, 1] if cell == [7, 0] else cell for cell in Shape.rectangle(8, 3).to_json()]
-    for shape in [None, "8x3", json.dumps(moved)]:
+    bose5 = sidon2d.construct_bose(5)
+    sequence = json.dumps(sidon2d.sequence_to_json(bose5))
+    moved = [[-1, 1] if cell == (7, 0) else list(cell) for cell in sorted(Shape.rectangle(8, 3).points)]
+    for option, shape in [(None, None), ("8x3", Shape.rectangle(8, 3)), (json.dumps(moved), Shape(moved))]:
         argv = ["fold", "--lattice", "8,2;0,3", "--direction", "1,0"]
         monkeypatch.setattr(sys, "stdin", io.StringIO(sequence))
-        assert cli.main(argv + ([] if shape is None else ["--shape", shape])) == 0
+        assert cli.main(argv + ([] if option is None else ["--shape", option])) == 0
         out = capsys.readouterr().out
-        pattern = sidon2d.pattern_from_json(json.loads(out))
-        assert out == json.dumps(pattern_to_json(pattern)) + "\n"
+        pattern = fold_sidon_to_ddc(bose5, Lattice(((8, 2), (0, 3))), shape, (1, 0))
+        assert out == pattern_json(pattern) + "\n"
 
 
 def test_directions_of_the_welch_lattice():
@@ -466,6 +475,22 @@ def test_render_matches_construct_ascii(tmp_path):
     path.write_text(built.stdout)
     from_file = run_cli("render", "--input", str(path))
     assert from_file.stdout == rendered.stdout
+
+
+def test_a_shape_of_far_apart_cells_is_not_rendered(monkeypatch, capsys):
+    # two cells 10^9 apart tile with a lattice of volume 2, and verify
+    # accepts the pattern; its bounding box is over the render cap
+    stdin = '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [1000000001, 0]], "dots": [[0, 0]]}'
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    assert cli.main(["verify", "--kind", "periodic-ddc"]) == 0
+    assert capsys.readouterr() == ('{"ok": true}\n', "")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    start = time.perf_counter()
+    assert cli.main(["render"]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == (
+        "", "error: bounding box 1000000002x1 is over the 4194304-cell render cap\n"
+    )
 
 
 # -- harness behaviour ----------------------------------------------------------------
@@ -604,7 +629,7 @@ def test_a_rectangle_over_the_cell_cap_is_refused_fast(argv, monkeypatch, capsys
     assert len(err.splitlines()) == 1
 
 
-WELCH7_JSON = json.dumps(pattern_to_json(construct_welch(7, 3)))
+WELCH7_JSON = pattern_json(construct_welch(7, 3))
 Z42_SIDON = '{"modulus": 42, "elements": [0, 8, 10, 11, 33, 37]}'
 
 

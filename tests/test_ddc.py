@@ -2,6 +2,7 @@
 between patterns and Sidon sequences."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from sidon2d import (
     PeriodicDdc,
     Shape,
     SidonSequence,
+    cli,
     construct_bose,
     construct_golomb,
     construct_power_pairs,
@@ -23,12 +25,11 @@ from sidon2d import (
     is_doubly_periodic_ddc,
     lower_left_dot,
     max_ddc_dots,
-    pattern_from_json,
-    pattern_to_json,
     render_ascii,
     unfold_to_sidon,
     verify_sidon,
 )
+from sidon2d.ddc import RENDER_CELL_CAP
 from sidon2d.fields import make_field
 from sidon2d.lattices import Tiling
 from sidon2d.numtheory import prime_power
@@ -362,11 +363,34 @@ def test_render_blanks_cells_outside_the_shape():
     assert render_ascii(p) == ".\n•."
 
 
-def test_pattern_json_round_trip():
-    p = construct_welch(5)
-    data = pattern_to_json(p)
-    assert data["lattice"] == [[4, 0], [0, 5]]
-    assert sorted(map(tuple, data["dots"])) == sorted(p.dots)
-    assert pattern_from_json(data) == p
-    with pytest.raises(ValueError):
-        pattern_from_json({"lattice": [[2, 0], [0, 2]], "dots": []})
+def test_render_refuses_a_bounding_box_over_its_cap():
+    # two cells tile with [[2, 0], [0, 1]] whenever they are an odd distance apart
+    lattice = Lattice(((2, 0), (0, 1)))
+    at_cap = PeriodicDdc(lattice, Shape([(0, 0), (RENDER_CELL_CAP - 1, 0)]), [(0, 0)])
+    assert render_ascii(at_cap) == "•" + " " * (RENDER_CELL_CAP - 2) + "."
+    over = PeriodicDdc(lattice, Shape([(0, 0), (RENDER_CELL_CAP + 1, 0)]), [(0, 0)])
+    with pytest.raises(ValueError, match=f"{RENDER_CELL_CAP + 2}x1 is over the {RENDER_CELL_CAP}-cell render cap"):
+        render_ascii(over)
+    tall = PeriodicDdc(Lattice(((1, 0), (0, 2))), Shape([(0, 0), (0, -RENDER_CELL_CAP - 1)]), [])
+    with pytest.raises(ValueError, match="render cap"):
+        render_ascii(tall)
+
+
+def test_pattern_json_round_trip(tmp_path, capsys):
+    # the CLI's writer and reader; the tromino takes the reader's full path
+    path = tmp_path / "pattern.json"
+    tromino = Shape(frozenset({(0, 0), (1, 0), (0, 1)}))
+    for p, rows in [
+        (construct_welch(5), [[4, 0], [0, 5]]),
+        (PeriodicDdc(Lattice(((1, 1), (-1, 2))), tromino, {(1, 0)}), [[1, 1], [-1, 2]]),
+    ]:
+        cli._emit_pattern(p)
+        text = capsys.readouterr().out
+        data = json.loads(text)
+        assert data["lattice"] == rows
+        assert sorted(map(tuple, data["dots"])) == sorted(p.dots)
+        path.write_text(text)
+        assert cli._read_pattern(str(path)) == p
+    path.write_text('{"lattice": [[2, 0], [0, 2]], "dots": []}')
+    with pytest.raises(ValueError, match="missing the 'shape' key"):
+        cli._read_pattern(str(path))

@@ -1,4 +1,5 @@
-"""Folded rows, the closed-form folding test, and fold/unfold transport."""
+"""Folded rows, the closed-form folding test, and the round trip between
+positions and cells along a folded row."""
 
 import itertools
 import random
@@ -10,12 +11,11 @@ from sidon2d import (
     Shape,
     Tiling,
     defines_folding_gcd,
-    fold,
     folding_directions,
     fundamental_shape,
-    unfold,
 )
 from sidon2d import folding
+from sidon2d.folding import folded_cells, folded_positions
 from sidon2d.numtheory import euler_phi
 
 import folding_oracle
@@ -27,11 +27,6 @@ TROMINO = Tiling(Lattice(((1, 1), (-1, 2))), Shape(frozenset({(0, 0), (1, 0), (0
 
 def square(m: int) -> Tiling:
     return Tiling(Lattice(((m, 0), (0, m))), Shape.rectangle(m, m))
-
-
-def cells(tiling: Tiling) -> dict:
-    """Every cell of the shape labelled by itself: unfold reads off the row."""
-    return {c: c for c in tiling.shape.points}
 
 
 # -- the walk (the reference) ---------------------------------------------------
@@ -58,7 +53,9 @@ def test_folded_row_is_the_reduced_multiple():
 
 def test_zero_direction_is_rejected():
     with pytest.raises(ValueError):
-        unfold(cells(WELCH7), WELCH7, (0, 0))
+        folded_cells(WELCH7, (0, 0), range(42))
+    with pytest.raises(ValueError):
+        folded_positions(WELCH7, (0, 0), [(0, 0)])
     with pytest.raises(ValueError):
         defines_folding_gcd(WELCH7.lattice, 42, (0, 0))
 
@@ -66,13 +63,15 @@ def test_zero_direction_is_rejected():
 @pytest.mark.parametrize("bad", [(1.9, 1), (True, 1), (1, False), (1, 2, 3), (1,), 5, "11", None])
 def test_a_direction_is_exactly_two_integers(bad):
     with pytest.raises(ValueError, match="pair of integers"):
-        unfold(cells(WELCH7), WELCH7, bad)
+        folded_positions(WELCH7, bad, [(0, 0)])
     with pytest.raises(ValueError, match="pair of integers"):
         defines_folding_gcd(WELCH7.lattice, 42, bad)
     with pytest.raises(ValueError, match="pair of integers"):
-        fold(list(range(42)), WELCH7, bad)
+        folded_cells(WELCH7, bad, range(42))
     # any two-int sequence
-    assert unfold(cells(WELCH7), WELCH7, [1, 1]) == unfold(cells(WELCH7), WELCH7, (1, 1))
+    row = folded_cells(WELCH7, (1, 1), range(42))
+    assert folded_cells(WELCH7, [1, 1], range(42)) == row
+    assert folded_positions(WELCH7, [1, 1], row) == folded_positions(WELCH7, (1, 1), row)
 
 
 # -- the closed-form test --------------------------------------------------------
@@ -185,9 +184,11 @@ def test_directions_equal_the_walk_scan_on_every_small_lattice():
             tiling = Tiling(lattice, shape)
             directions = folding_directions(tiling)
             assert directions == walk_directions(tiling), (lattice.rows, shape)
+            n = tiling.size
             for d in directions:
                 row = folded_row(tiling, d)[0]
-                assert unfold(cells(tiling), tiling, d) == row, (lattice.rows, shape, d)
+                assert folded_cells(tiling, d, range(n)) == row, (lattice.rows, shape, d)
+                assert folded_positions(tiling, d, row) == list(range(n)), (lattice.rows, shape, d)
     assert lattices == 6016
     assert folding_directions(TROMINO) == walk_directions(TROMINO)
 
@@ -223,34 +224,30 @@ def test_single_cell_always_folds():
     assert defines_folding(t, (3, -5))
 
 
-# -- fold / unfold ------------------------------------------------------------------
+# -- positions to cells and back -------------------------------------------------
 
 
 def test_fold_then_unfold_is_identity():
-    seq = list("abc")
-    arr = fold(seq, TROMINO, (0, 1))
-    assert arr == {(0, 0): "a", (0, 1): "b", (1, 0): "c"}
-    assert unfold(arr, TROMINO, (0, 1)) == seq
-    # reading along the other folding direction permutes the symbols
-    assert unfold(arr, TROMINO, (0, 2)) == ["a", "c", "b"]
+    row = folded_cells(TROMINO, (0, 1), range(3))
+    assert row == [(0, 0), (0, 1), (1, 0)]
+    assert folded_positions(TROMINO, (0, 1), row) == [0, 1, 2]
+    # reading along the other folding direction permutes the positions
+    assert folded_positions(TROMINO, (0, 2), row) == [0, 2, 1]
 
 
 def test_unfold_then_fold_is_identity():
-    arr = {(0, 0): 10, (0, 1): 20, (1, 0): 30}
-    seq = unfold(arr, TROMINO, (0, 2))
-    assert fold(seq, TROMINO, (0, 2)) == arr
+    cells = sorted(TROMINO.shape.points)
+    positions = folded_positions(TROMINO, (0, 2), cells)
+    assert folded_cells(TROMINO, (0, 2), positions) == cells
 
 
 def test_fold_round_trip_on_the_big_rectangle():
-    seq = list(range(42))
     for d in [(1, 1), (5, 6)]:
-        assert unfold(fold(seq, WELCH7, d), WELCH7, d) == seq
+        assert folded_positions(WELCH7, d, folded_cells(WELCH7, d, range(42))) == list(range(42))
 
 
 def test_fold_validates_inputs():
-    with pytest.raises(ValueError):
-        fold(list("ab"), TROMINO, (0, 1))  # wrong length
-    with pytest.raises(ValueError):
-        fold(list(range(4)), square(2), (1, 1))  # direction does not fold
-    with pytest.raises(ValueError):
-        unfold({(0, 0): 1, (1, 1): 2, (0, 1): 3}, TROMINO, (0, 1))  # wrong cells
+    with pytest.raises(ValueError, match="does not define a folding"):
+        folded_cells(square(2), (1, 1), range(4))
+    with pytest.raises(ValueError, match="does not define a folding"):
+        folded_positions(square(2), (1, 1), [(0, 0)])

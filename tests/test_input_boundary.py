@@ -38,15 +38,14 @@ from sidon2d import (
     construct_singer,
     construct_welch,
     defines_folding_gcd,
-    fold,
     fundamental_shape,
     is_ddc,
     make_field,
     minimal_period,
     sidon_upper_bound,
-    unfold,
     unfold_to_sidon,
 )
+from sidon2d.folding import folded_cells, folded_positions
 from sidon2d.lattices import MAX_RECTANGLE_CELLS
 from sidon2d.numtheory import as_ints
 
@@ -138,9 +137,9 @@ def test_library_inputs_reject_non_integers(bad):
         lambda: abelian_group_specs(bad),
         lambda: is_ddc([(0, 0), (bad, 2)]),
         lambda: minimal_period(WELCH7.lattice, WELCH7.shape, [(bad, 0)]),
-        lambda: unfold({c: c for c in WELCH7.shape.points}, WELCH7, (bad, 1)),
+        lambda: folded_positions(WELCH7, (bad, 1), [(0, 0)]),
         lambda: defines_folding_gcd(WELCH7.lattice, 42, (1, bad)),
-        lambda: fold(list(range(42)), WELCH7, (bad, 1)),
+        lambda: folded_cells(WELCH7, (bad, 1), range(42)),
         lambda: unfold_to_sidon(construct_welch(7, 3), (1, 1), anchor=(0, bad)),
     ]
     for case in cases:
@@ -455,9 +454,9 @@ def test_any_option_string_exits_cleanly(case):
 # -- the pattern reader ----------------------------------------------------------------
 #
 # `_read_pattern` reads the text the CLI writes for a box pattern without
-# a JSON object per shape cell, and leaves any other text to
-# pattern_from_json(json.loads(text)).  Whatever the text, the command must
-# end as it does when every text takes that full path.
+# a JSON object per shape cell, and leaves any other text to its full
+# path, which decodes the whole text with json.loads.  Whatever the text,
+# the command must end as it does when every text takes that full path.
 
 PATTERN_COMMANDS = [
     ["verify", "--kind", "periodic-ddc"],
@@ -467,14 +466,15 @@ PATTERN_COMMANDS = [
 ]
 
 
-def full_path_reader(path):
-    return cli.pattern_from_json(cli._read_json(path))
+def full_path():
+    """_read_pattern forced onto its full path."""
+    return mock.patch.object(cli, "_box_pattern", lambda text: None)
 
 
 def run_both(argv, stdin):
     """run_main with the reader as it is, and forced onto the full path."""
     fast = run_main(argv, stdin)
-    with mock.patch.object(cli, "_read_pattern", full_path_reader):
+    with full_path():
         return fast, run_main(argv, stdin)
 
 
@@ -604,11 +604,11 @@ def test_the_pattern_reader_leaves_a_box_over_the_cap_to_the_full_path():
     assert fast == full == (1, "", f"error: shape is over the {CAP}-cell cap\n")
 
 
-def test_the_written_layout_never_reaches_pattern_from_json():
+def test_the_written_layout_never_reaches_the_full_path():
     for text in CANONICAL:
         for argv in PATTERN_COMMANDS:
             expected = run_main(argv, text)
-            with mock.patch.object(cli, "pattern_from_json", side_effect=AssertionError("full path taken")):
+            with mock.patch.object(cli, "_parse_json", side_effect=AssertionError("full path taken")):
                 assert run_main(argv, text) == expected
 
 
@@ -618,7 +618,8 @@ def test_the_written_layout_is_read_without_writing_its_shape_text(tmp_path):
     path = tmp_path / "pattern.json"
     for text in CANONICAL:
         path.write_text(text)
-        with mock.patch.object(cli, "_box_json", side_effect=AssertionError("shape text written")):
+        with mock.patch.object(cli, "_shape_json", side_effect=AssertionError("shape text written")):
             pattern = cli._read_pattern(str(path))
         assert pattern.shape._box is not None  # read as a box
-        assert pattern == cli.pattern_from_json(json.loads(text))
+        with full_path():
+            assert pattern == cli._read_pattern(str(path))

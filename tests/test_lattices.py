@@ -1,13 +1,16 @@
 """Lattices, shapes, tilings, and minimal periods."""
 
+import json
 import random
 
 import pytest
 
 from sidon2d import (
     Lattice,
+    PeriodicDdc,
     Shape,
     Tiling,
+    cli,
     fundamental_shape,
     minimal_period,
 )
@@ -88,9 +91,11 @@ def test_coset_key_frozen_example():
     assert WELCH7.coset_key((6, 7)) == (0, 0)
 
 
-def test_lattice_json_round_trip():
-    assert WELCH7.to_json() == [[6, 0], [0, 7]]
-    assert Lattice([[6, 0], [0, 7]]) == WELCH7
+def test_lattice_json_round_trip(capsys):
+    cli._emit_pattern(PeriodicDdc(WELCH7, Shape.rectangle(6, 7), []))
+    rows = json.loads(capsys.readouterr().out)["lattice"]
+    assert rows == [[6, 0], [0, 7]]
+    assert Lattice(rows) == WELCH7
 
 
 # -- Shape --------------------------------------------------------------------
@@ -111,8 +116,8 @@ def test_rectangle_and_bounds():
 
 
 def test_shape_json_round_trip():
-    assert TROMINO.to_json() == [[0, 0], [0, 1], [1, 0]]
-    assert Shape([[0, 0], [0, 1], [1, 0]]) == TROMINO
+    assert cli._shape_json(TROMINO) == "[[0, 0], [0, 1], [1, 0]]"
+    assert Shape(json.loads(cli._shape_json(TROMINO))) == TROMINO
 
 
 # -- tilings ------------------------------------------------------------------
@@ -156,10 +161,10 @@ def test_a_shifted_box_reduces_into_its_own_cells():
 def test_rectangle_cells_and_json_order():
     box = Shape.rectangle(3, 2)
     assert box.points == {(x, y) for x in range(3) for y in range(2)}
-    assert box.to_json() == [list(p) for p in sorted(box.points)]
+    assert cli._shape_json(box) == json.dumps(sorted(box.points))
     shifted = Shape(frozenset((x, y) for x in (-1, 0) for y in (-2, -1, 0)))
-    assert shifted.to_json() == [list(p) for p in sorted(shifted.points)]
-    assert TROMINO.to_json() == [[0, 0], [0, 1], [1, 0]]
+    assert cli._shape_json(shifted) == json.dumps(sorted(shifted.points))
+    assert cli._shape_json(TROMINO) == "[[0, 0], [0, 1], [1, 0]]"
 
 
 def test_fundamental_shape_always_tiles():

@@ -14,6 +14,10 @@
 - The names `__init__.py` imports are exactly `__all__` (less
   `__version__`), so removing an export means removing it from both.
 - Every exported name has a docstring of its own.
+- Every exported name has a user outside the tests: a package module
+  other than `__init__.py`, the benchmark scripts in `perfbench/`, or
+  the acceptance gates name it.  API that only its own tests call is
+  removed, or moved into a test oracle module.
 - No module imports `dataclasses`, and importing the CLI loads none of
   `dataclasses`, `inspect` or `typing`: each cold command pays for what
   it imports, and those three cost about as much as the package itself.
@@ -30,6 +34,7 @@ import pytest
 import sidon2d
 
 SOURCES = sorted(Path(sidon2d.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 INT_READERS = {"numtheory.py", "cli.py"}
 
 
@@ -102,6 +107,28 @@ def test_the_package_exports_exactly_what_it_imports():
 @pytest.mark.parametrize("name", [n for n in sidon2d.__all__ if n != "__version__"])
 def test_every_export_has_a_docstring(name):
     assert (getattr(sidon2d, name).__doc__ or "").strip(), f"{name} has no docstring"
+
+
+def names_used(path: Path) -> set[str]:
+    """Every name the file reads, reads an attribute of, or imports from a module."""
+    used = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    users = [p for p in SOURCES if p.name != "__init__.py"]
+    users += sorted((REPO / "perfbench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
+    assert len(users) > len(SOURCES)  # the benchmark scripts were found
+    used = set().union(*map(names_used, users))
+    unused = [name for name in sidon2d.__all__ if name != "__version__" and name not in used]
+    assert unused == [], f"exported, but only the tests use: {unused}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

@@ -1,7 +1,7 @@
 """Closed-form tilings against independent references: the reduced
 cells, the index map phi, the periodic-DDC check, the folded row and
-the positions unfolding reads off it, and box shapes against their
-cell sets."""
+the positions unfolding reads off it, box shapes against their cell
+sets, and the rendered rows against the cell-by-cell render."""
 
 import json
 import math
@@ -18,6 +18,7 @@ from sidon2d import (
     defines_folding_gcd,
     fundamental_shape,
     is_doubly_periodic_ddc,
+    render_ascii,
     unfold_to_sidon,
 )
 from sidon2d import groups
@@ -26,6 +27,7 @@ from sidon2d.groups import Collision, first_difference_collision
 from sidon2d.lattices import Tiling
 
 from folding_oracle import folded_row
+from render_oracle import render_cells
 
 
 def in_span(point, rows) -> bool:
@@ -242,20 +244,20 @@ def test_a_box_shape_is_its_cell_set(bounds):
     for box in boxes:
         assert box == twin and twin == box
         assert hash(box) == hash(twin)
-        assert (box.size, box.bounds(), box.to_json(), repr(box)) == (
-            twin.size, twin.bounds(), twin.to_json(), repr(twin))
+        assert (box.size, box.bounds(), cli._shape_json(box), repr(box)) == (
+            twin.size, twin.bounds(), cli._shape_json(twin), repr(twin))
         for cell in product(range(x0 - 1, x1 + 2), range(y0 - 1, y1 + 2)):
             assert (cell in box) == (cell in twin) == (x0 <= cell[0] <= x1 and y0 <= cell[1] <= y1)
         for shape in (box, twin):
-            assert cli._shape_json(shape) == json.dumps(shape.to_json())
+            assert cli._shape_json(shape) == json.dumps(sorted(shape.points))
 
 
 @given(tilings())
 @settings(max_examples=100, deadline=None)
 def test_the_shape_text_of_any_shape_is_its_json(tiling):
     shape = tiling.shape
-    assert cli._shape_json(shape) == json.dumps(shape.to_json())
-    assert Shape(shape.to_json()) == shape
+    assert cli._shape_json(shape) == json.dumps(sorted(shape.points))
+    assert Shape(json.loads(cli._shape_json(shape))) == shape
 
 
 def test_a_box_is_found_only_in_its_own_cell_list():
@@ -265,3 +267,11 @@ def test_a_box_is_found_only_in_its_own_cell_list():
         shape = Shape(cells)
         assert shape._points == {tuple(c) for c in cells}
     assert Shape(reordered) == Shape(box)
+
+
+@given(tilings(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_render_is_the_cell_by_cell_render(tiling, data):
+    dots = data.draw(st.lists(st.sampled_from(sorted(tiling.shape.points)), max_size=8, unique=True))
+    pattern = PeriodicDdc(tiling.lattice, tiling.shape, dots)
+    assert render_ascii(pattern) == render_cells(pattern)
