@@ -12,14 +12,14 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .fields import make_field
+from .fields import check_order, make_field
 from .folding import Direction, folded_cells, folded_positions
 from .groups import (
     Collision,
     SidonSequence,
-    differences_distinct,
     first_difference_collision,
     max_distinct_difference_set,
+    sums_distinct,
     verify_sidon,
 )
 from .lattices import MAX_RECTANGLE_CELLS, Lattice, Point, Shape, Tiling, fundamental_shape
@@ -31,7 +31,7 @@ def is_ddc(dots: Iterable[Point]) -> Collision | None:
 
     Shifted into the box [0, W) x [0, H) they span, the dots have
     differences in (-W, W) x (-H, H), which reduction modulo (2W - 1,
-    2H - 1) keeps apart; so groups.differences_distinct decides in that
+    2H - 1) keeps apart; so groups.sums_distinct decides in that
     group, and only a set with a repeat is scanned for its witness.
     """
     pts = sorted(set(as_ints(dots, "dots", None, 2)))
@@ -39,7 +39,7 @@ def is_ddc(dots: Iterable[Point]) -> Collision | None:
         return None
     x0, y0 = pts[0][0], min(y for _, y in pts)
     moduli = (2 * (pts[-1][0] - x0) + 1, 2 * (max(y for _, y in pts) - y0) + 1)
-    if differences_distinct(moduli, [(x - x0, y - y0) for x, y in pts]):
+    if sums_distinct(moduli, [(x - x0, y - y0) for x, y in pts]):
         return None
     return first_difference_collision(pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
 
@@ -75,16 +75,14 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     copies of the replicated pattern.  The lattice's phi is an
     isomorphism from Z^2 modulo the lattice onto Z_m1 x Z_m2, so the
     differences are distinct exactly when those of the dots' images are,
-    which groups.differences_distinct checks a row of differences at a
-    time, stopping at the first row that repeats one: on a small cyclic
-    quotient a row is a rotated bitmap of Z_|S|, otherwise n packed
-    sums, marked one at a time in a table of |S| bytes until one is
-    marked already, so at most |S| + 1 are looked up (pigeonhole).  Only
-    then is it scanned in order for the witness.
+    that is when their sums are, which groups.sums_distinct checks a row
+    of packed sums at a time, marked one at a time in a table of |S|
+    bytes until one is marked already, so at most |S| + 1 are looked up
+    (pigeonhole).  Only then is it scanned in order for the witness.
     """
     dots = sorted(pattern.dots)
     lattice = pattern.lattice
-    if differences_distinct(lattice.moduli, [lattice.phi(p) for p in dots]):
+    if sums_distinct(lattice.moduli, [lattice.phi(p) for p in dots]):
         return None
     representative = pattern.tiling.representative
     return first_difference_collision(
@@ -95,13 +93,16 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
 def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:
     """Dots (i, alpha^i mod p) on a (p-1)-wide, p-tall rectangle,
     replicated by the diagonal lattice [[p-1, 0], [0, p]]."""
-    if not is_prime(as_ints(p, "p")):
+    if as_ints(p, "p") > 1:  # the sizes before the trial division of p
+        check_order(p)
+        shape = Shape.rectangle(p - 1, p)
+    if not is_prime(p):
         raise ValueError(f"need a prime, got {p}")
     f = make_field(p)
     alpha = f.primitive_or_generator(alpha, "alpha")
     dots = frozenset((i, f.pow(alpha, i)) for i in range(p - 1))
     return PeriodicDdc(
-        Lattice(((p - 1, 0), (0, p))), Shape.rectangle(p - 1, p), dots
+        Lattice(((p - 1, 0), (0, p))), shape, dots
     )
 
 
@@ -113,7 +114,10 @@ def construct_golomb(
 
     Each 1 <= i <= q-2 has alpha^i != 1, hence the single partner
     j = log_beta(1 - alpha^i); i = 0 has none.  So q - 2 dots."""
-    pp = prime_power(as_ints(q, "q"))
+    if as_ints(q, "q") > 2:  # the sizes before the trial division of q
+        check_order(q)
+        shape = Shape.rectangle(q - 1, q - 1)
+    pp = prime_power(q)
     if pp is None or q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     f = make_field(*pp)
@@ -121,7 +125,7 @@ def construct_golomb(
     beta = f.primitive_or_generator(beta, "beta")
     dots = frozenset((i, f.log(f.sub(1, f.pow(alpha, i)), beta)) for i in range(1, q - 1))
     return PeriodicDdc(
-        Lattice(((q - 1, 0), (0, q - 1))), Shape.rectangle(q - 1, q - 1), dots
+        Lattice(((q - 1, 0), (0, q - 1))), shape, dots
     )
 
 

@@ -37,6 +37,18 @@ from .numtheory import Record, as_ints, factorize, is_prime, modinv, xgcd
 ORDER_LIMIT = 1 << 20
 
 
+def check_order(p: int, k: int = 1) -> int:
+    """The order p**k of GF(p^k), for p >= 2 and k >= 1, refused over
+    ORDER_LIMIT by plain arithmetic: callers check it before any trial
+    division of p or table build."""
+    # p**k >= 2**k, so a k over 64 is over the limit; up to it, p**k of a p
+    # within the limit has at most 1,280 bits
+    if p > ORDER_LIMIT or k > 64 or p**k > ORDER_LIMIT:
+        order = p**k if k <= 64 else f"{p}^{k}"
+        raise ValueError(f"field order {order} exceeds limit {ORDER_LIMIT}")
+    return p**k
+
+
 # ---------------------------------------------------------------------------
 # polynomial helpers (dense coefficient lists, constant term first)
 
@@ -192,13 +204,12 @@ class Field(Record):
     _fields = ("p", "k", "modulus")
 
     def __init__(self, p: int, k: int = 1):
-        if not is_prime(as_ints(p, "field characteristic")):
+        # a p over the limit is refused by check_order, not a trial division
+        if as_ints(p, "field characteristic") <= ORDER_LIMIT and not is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if as_ints(k, "extension degree") < 1:
             raise ValueError(f"extension degree must be positive, got {k}")
-        order = p**k
-        if order > ORDER_LIMIT:
-            raise ValueError(f"field order {order} exceeds limit {ORDER_LIMIT}")
+        order = check_order(p, k)
         self.p = p
         self.k = k
         self.order = order
@@ -241,9 +252,6 @@ class Field(Record):
 
     def add(self, a: int, b: int) -> int:
         return self._digitwise(self._check(a), self._check(b), 1)
-
-    def neg(self, a: int) -> int:
-        return self._digitwise(0, self._check(a), -1)
 
     def sub(self, a: int, b: int) -> int:
         return self._digitwise(self._check(a), self._check(b), -1)

@@ -5,16 +5,15 @@ elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
 sums with repetition are distinct.  Every witness in the package comes
 from one first_collision scan over (key, pair) items, and only a set
-that fails a faster yes-or-no check is scanned.  differences_distinct
-answers a row at a time, by differences on a small cyclic group's
-rotating bitmap and otherwise by the n(n + 1)/2 sums in packed lanes,
-marked in a table of one byte per element on a group of at most 2^21
-elements and kept in a set beyond; verify_weak_sidon runs the same
-lanes over the n(n - 1)/2 sums of distinct elements.  A Sidon
-sequence in Z_n and a doubly periodic DDC in Z^2 modulo a lattice are
-both distinct-difference sets, told apart only by their subtraction:
-first_difference_collision verifies either kind and
-max_distinct_difference_set searches either for its largest member.
+that fails a faster yes-or-no check is scanned.  That check is
+sums_distinct, for every kind: it builds the sums a row at a time in
+packed lanes, n(n + 1)/2 of them for a Sidon check and the n(n - 1)/2
+sums of distinct elements for a weak-Sidon one, and marks them in a
+table of one byte per element on a group of at most 2^21 elements and
+in a set beyond.  A Sidon sequence in Z_n and a doubly periodic DDC in
+Z^2 modulo a lattice are both distinct-difference sets, told apart only
+by their subtraction: first_difference_collision verifies either kind
+and max_distinct_difference_set searches either for its largest member.
 """
 
 from __future__ import annotations
@@ -81,8 +80,7 @@ class SidonSequence(Record):
     separate step so that near-misses can be inspected.
     """
 
-    __slots__ = ("group", "elements", "_members")
-    _fields = ("group", "elements")
+    __slots__ = _fields = ("group", "elements")
 
     def __init__(self, group: GroupSpec, elements: Iterable[Iterable[int]]):
         self.group = group
@@ -92,7 +90,6 @@ class SidonSequence(Record):
         if repeat:
             raise ValueError(f"duplicate element {repeat.key}")
         self.elements: tuple[Element, ...] = tuple(sorted(normalized))
-        self._members = set(normalized)
 
     @classmethod
     def from_ints(cls, modulus: int, values: Iterable[int]) -> "SidonSequence":
@@ -108,12 +105,6 @@ class SidonSequence(Record):
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
-
-    def __contains__(self, el: object) -> bool:
-        try:
-            return el in self._members
-        except TypeError:  # unhashable, so not an element
-            return False
 
     def __repr__(self) -> str:
         return f"SidonSequence({self.group.moduli}, {list(self.elements)})"
@@ -142,93 +133,48 @@ def first_collision(keyed_pairs: Iterable[tuple[Hashable, Any]]) -> Collision | 
 
 def verify_sidon(seq: SidonSequence) -> Collision | None:
     """First collision among ordered differences of distinct elements, if any."""
-    if differences_distinct(seq.group.moduli, seq.elements):
+    if sums_distinct(seq.group.moduli, seq.elements):
         return None
     return first_difference_collision(seq.elements, seq.group.sub)
 
 
-def differences_distinct(moduli: tuple[int, ...], elements: Sequence[Element]) -> bool:
-    """Whether all ordered differences of distinct elements are distinct:
-    the fast path of verify_sidon, and of the periodic-DDC check on a
-    pattern's dots mapped into Z^2 modulo its lattice by Lattice.phi.
+def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: int = 0) -> bool:
+    """Whether the sums a + b of two elements, b at or after a in the
+    list, are distinct; with skip = 1, the sums of two distinct elements.
     The elements must be distinct.
 
-    It goes a row at a time, each row built with a few big-int
-    operations, in one of two layouts chosen from the moduli and n alone:
+    With skip = 0 this is whether the ordered differences of distinct
+    elements are distinct, as a - b = c - d is a + d = c + b: the fast
+    path of verify_sidon, and of the periodic-DDC check on a pattern's
+    dots mapped into Z^2 modulo its lattice by Lattice.phi.  The
+    diagonal b = a stays, since only it catches 2-torsion: in {0, e}
+    with 2e = 0, e - 0 = 0 - e, and among the sums only 0 + 0 = e + e
+    repeats.  With skip = 1 it is the fast path of verify_weak_sidon.
 
-    - A rotating bitmap, for a cyclic group Z_m with n(n - 1) < m <= 600n.
-      Row a holds the differences a - b over every b, a itself
-      included.  An m-bit int has bit -b set for each b; two copies of
-      it end to end, shifted right by m - a, give row a as bits a - b.
-      The set is Sidon exactly when each row meets the union of the rows
-      before it in the zero difference alone.  No difference is stored.
-    - Packed lanes of sums, for every other group.  The set is Sidon
-      exactly when its sums with repetition are distinct (a - b = c - d
-      is a + d = c + b), so row i holds the sums a + b of a = elements[i]
-      and each b at or after it: n(n + 1)/2 sums in all, not n(n - 1).
-      The diagonal b = a stays, since only it catches 2-torsion: in
-      {0, e} with 2e = 0, e - 0 = 0 - e, and among the sums only
-      0 + 0 = e + e repeats.  Component i of an element sits in a slot
-      of s_i = m_i.bit_length() bits under a flag bit.  Slot i of a + b
-      holds a_i + b_i in [0, 2m_i), which fits the slot and its flag;
-      adding 2^s_i - m_i raises the flag exactly where that is at least
-      m_i, and so where m_i must be subtracted to leave the residue.
-      Each element has a lane of 64k bits in one int, and row i takes
-      the lanes from i on by a shift, so a row costs a handful of
-      whole-int operations per slot.
-      - On a group of at most _TABLE_ORDER = 2^21 elements, each lane's
-        slots become the index sum(c_j * W_j) of its residue, W_j the
-        order of the factors after j, and a table of one byte per
-        element marks the sums seen: the check stops at the first sum
-        already marked.
-      - A larger group joins each row's lanes to one set as keys: one
-        machine word when k = 1, a k-tuple of words otherwise.  A key is
-        not the residue but the words that hold it, read in native byte
-        order; it stands for the same sum in every row and for no other,
-        and equality is all a test of distinctness asks of it.  Row i
-        adds its n - i keys exactly when no sum has repeated, which is
-        counted after every row (pigeonhole).
+    It goes a row at a time, row i holding the sums of a = elements[i]
+    and each b from elements[i + skip] on, each row built with a few
+    big-int operations.  Component i of an element sits in a slot of
+    s_i = m_i.bit_length() bits under a flag bit.  Slot i of a + b holds
+    a_i + b_i in [0, 2m_i), which fits the slot and its flag; adding
+    2^s_i - m_i raises the flag exactly where that is at least m_i, and
+    so where m_i must be subtracted to leave the residue.  Each element
+    has a lane of 64k bits in one int, and row i takes the lanes from
+    i + skip on by a shift, so a row costs a handful of whole-int
+    operations per slot.
 
-    The rule: a bitmap row costs a few passes over m bits, about m / 64
-    word operations, and a row of lanes a few whole-int operations per
-    slot and one table lookup per sum, so the layouts break even where m
-    is a multiple of n.  Timed on n-element subsets of Ruzsa sets in
-    Z_p(p - 1) (best of 14 runs, Python 3.11 on a 2-vCPU Xeon), the
-    bitmap is the faster up to about 720n-940n at n = 100, 600n at
-    n = 300 and 520n-600n at n = 600; on whole Ruzsa sets (n = p - 1,
-    m = pn) up to 520n-660n: at 331n, the Welch-sized group, 3.5 against
-    6.2 ms, and at 1021n, Ruzsa p = 1021, 92 against 49 ms.  Ties go to the bitmap, which stores no
-    sum.  A Sidon set needs m > n(n - 1), so the rule admits n <= 600
-    only and bitmaps of at most 360,600 bits: a bitmap is built whole
-    before its first row can fail, where lanes stop at the first
-    repeated sum.  A set with n(n - 1) >= m cannot be Sidon, since its
-    n(n - 1) differences would be distinct and nonzero; it takes lanes,
-    which refuse it with no bitmap built.
+    - On a group of at most _TABLE_ORDER = 2^21 elements, each lane's
+      slots become the index sum(c_j * W_j) of its residue, W_j the
+      order of the factors after j, and a table of one byte per element
+      marks the sums seen: the check stops at the first sum already
+      marked.
+    - A larger group joins each row's lanes to one set as keys: one
+      machine word when k = 1, a k-tuple of words otherwise.  A key is
+      not the residue but the words that hold it, read in native byte
+      order; it stands for the same sum in every row and for no other,
+      and equality is all a test of distinctness asks of it.  Row i adds
+      its n - i - skip keys exactly when no sum has repeated, which is
+      counted after every row (pigeonhole).
     """
-    n = len(elements)
-    if len(moduli) == 1 and n * (n - 1) < moduli[0] <= 600 * n:
-        return _rotation_distinct(moduli[0], [c for (c,) in elements])
-    return _lanes_distinct(moduli, elements)
-
-
-def _rotation_distinct(m: int, values: list[int]) -> bool:
-    """differences_distinct on Z_m by the rotating bitmap."""
-    bits = bytearray(m // 8 + 1)
-    for k in (-b % m for b in values):
-        bits[k >> 3] |= 1 << (k & 7)
-    negated = int.from_bytes(bits, "little")
-    twice, full, union = negated | negated << m, (1 << m) - 1, 1
-    for a in values:
-        row = twice >> m - a & full
-        if row & union != 1:
-            return False
-        union |= row
-    return True
-
-
-def _lanes_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: int = 0) -> bool:
-    """differences_distinct on any group by packed lanes of sums; with
-    skip = 1, whether the sums of two distinct elements are distinct."""
     widths = [m.bit_length() for m in moduli]
     offsets = [sum(widths[:i]) + i for i in range(len(widths))]
     words = -(-(offsets[-1] + widths[-1] + 1) // 64)
@@ -306,7 +252,7 @@ def verify_weak_sidon(seq: SidonSequence) -> Collision | None:
     """Like verify_sidon_sums but only sums of two distinct elements:
     decided by the sum lanes with b after a, then scanned for the
     witness only when some sum repeats."""
-    if _lanes_distinct(seq.group.moduli, seq.elements, skip=1):
+    if sums_distinct(seq.group.moduli, seq.elements, skip=1):
         return None
     add = seq.group.add
     return first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))

@@ -206,37 +206,35 @@ class Tiling:
     Reduction sends any grid point to the unique cell of the shape in
     its coset; the matching lattice point (the "center" of the copy the
     point fell in) is the difference.  With the triangular basis
-    ((a, b), (0, d)), a coset key is a cell of [0, a) x [0, d).  On a
-    translate of that rectangle by a corner (x0, y0), the rectangle itself
-    too, the cell of p is (x0, y0) + coset_key(p - (x0, y0)).  Any other
-    shape keeps a list of its cells, the one of key (x, y) in slot
+    ((a, b), (0, d)), a coset key is a cell of [0, a) x [0, d).  On a box
+    shape that is that rectangle moved to a corner (x0, y0), the cell of p
+    is (x0, y0) + coset_key(p - (x0, y0)).  Any other shape, a box's cell
+    list too, keeps a list of its cells, the one of key (x, y) in slot
     x * d + y, and reads it at coset_key(p): its corner is (0, 0).  At the
-    cell cap the list is 8 MB; a key -> cell dict in its place cost 136 MB more.
+    cell cap the list is 8 MB; a key -> cell dict cost 136 MB more.
     """
 
     def __init__(self, lattice: Lattice, shape: Shape):
         (a, _), (_, d) = lattice.hnf
-        x0, y0, x1, y1 = shape.bounds()
-        self._cells: list[Point] | None = None
-        # the size alone would pass a transposed d x a box
-        if shape.size == a * d and (x1 - x0, y1 - y0) == (a - 1, d - 1):
-            self._corner = x0, y0
-        else:
-            self._corner = 0, 0
-            cells = [None] * shape.size
-            if shape.size == lattice.volume:
-                key = lattice.coset_key
-                for p in shape.points:
-                    x, y = key(p)
-                    cells[x * d + y] = p
-            # a transversal: as many cells as cosets, and one in each; by
-            # pigeonhole a coset met twice leaves another slot empty
-            if shape.size != lattice.volume or None in cells:
-                raise ValueError(
-                    f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
-                    f" (volume {lattice.volume})"
-                )
-            self._cells = cells
+        box, self._cells = shape._box, None
+        # a transversal: as many cells as cosets, checked before any list is
+        # made, and one in each; the size alone would pass a transposed d x a box
+        tiles = shape.size == lattice.volume
+        if tiles and box is not None and (box[2] - box[0], box[3] - box[1]) == (a - 1, d - 1):
+            self._corner = box[:2]
+        elif tiles:
+            self._corner, cells = (0, 0), [None] * shape.size
+            key = lattice.coset_key
+            for p in shape.points:
+                x, y = key(p)
+                cells[x * d + y] = p
+            # by pigeonhole a coset met twice leaves another slot empty
+            tiles, self._cells = None not in cells, cells
+        if not tiles:
+            raise ValueError(
+                f"shape of size {shape.size} does not tile with lattice {lattice.rows}"
+                f" (volume {lattice.volume})"
+            )
         self.lattice = lattice
         self.shape = shape
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 
-from .fields import Field, make_field
+from .fields import Field, check_order, make_field
 from .groups import (
     Element,
     GroupSpec,
@@ -24,7 +24,9 @@ from .numtheory import Record, as_ints, factorize, is_prime, partitions, prime_p
 
 
 def _field_for(q: int, what: str, degree: int = 1) -> Field:
-    pp = prime_power(as_ints(q, "q"))
+    if as_ints(q, "q") > 1:
+        check_order(q, degree)  # before the trial division of q
+    pp = prime_power(q)
     if pp is None:
         raise ValueError(f"{what} needs a prime power, got {q}")
     p, k = pp
@@ -49,7 +51,8 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
 def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
     """p-1 elements modulo p^2 - p: the pair construction pushed through
     the splitting Z_{p(p-1)} = Z_{p-1} x Z_p, written out directly."""
-    if as_ints(p, "p") < 3 or not is_prime(p):
+    check_order(as_ints(p, "p"))  # before the trial division of p
+    if p < 3 or not is_prime(p):
         raise ValueError(f"need a prime p >= 3, got {p}")
     field = make_field(p)
     alpha = field.primitive_or_generator(alpha, "alpha")

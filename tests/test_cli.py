@@ -141,7 +141,7 @@ def test_verify_reports_difference_collision_with_exit_2():
         "pair_a": [0, 3],
         "pair_b": [3, 0],
     }
-    # a sparse modulus: a bitmap over the group would need 10^18 bits
+    # a sparse modulus: a table over the group would need 10^18 bytes
     proc = run_cli("verify", "--kind", "sidon", stdin='{"modulus": 1000000000000000000, "elements": [0, 1, 2]}')
     assert proc.returncode == 2
     assert proc.stdout == (
@@ -154,10 +154,10 @@ def test_verify_reports_difference_collision_with_exit_2():
 
 def test_verify_sidon_of_a_large_set_stops_at_its_first_short_row():
     """50,000 consecutive elements repeat a difference on the second row.
-    Z_m with m = n(n - 1) cannot hold n Sidon elements at all, and with
-    m = 2n^2 a rotating bitmap over the group would take gigabytes before
-    its first row, so the child runs under a 256 MB address-space limit
-    where the platform has one."""
+    Z_m with m = n(n - 1) cannot hold n Sidon elements at all.  Both
+    groups are over 2^21 elements, so the sums of the first two rows go
+    to a set, and nothing of the size of the group is built; the child
+    runs under a 256 MB address-space limit where the platform has one."""
     try:
         import resource
     except ImportError:  # no rlimits: the output is still checked
@@ -627,6 +627,32 @@ def test_a_rectangle_over_the_cell_cap_is_refused_fast(argv, monkeypatch, capsys
     assert out == ""
     assert err.startswith("error: rectangle ") and err.endswith(" is over the 1048576-cell cap\n")
     assert len(err.splitlines()) == 1
+
+
+P19 = "1000000000000000003"  # prime, and trial division of it takes minutes
+
+
+@pytest.mark.parametrize(
+    "family, size, value, message",
+    [
+        ("welch", "--p", P19, f"field order {P19} exceeds limit 1048576"),
+        ("ruzsa", "--p", P19, f"field order {P19} exceeds limit 1048576"),
+        ("bose", "--q", P19, f"field order {int(P19) ** 2} exceeds limit 1048576"),
+        ("singer", "--q", P19, f"field order {int(P19) ** 3} exceeds limit 1048576"),
+        ("golomb", "--q", P19, f"field order {P19} exceeds limit 1048576"),
+        ("power-pairs", "--q", P19, f"field order {P19} exceeds limit 1048576"),
+        # GF(1000003) and GF(2^20) are within the order limit, but take seconds to build
+        ("welch", "--p", "1000003", "rectangle 1000002x1000003 is over the 1048576-cell cap"),
+        ("golomb", "--q", "1048576", "rectangle 1048575x1048575 is over the 1048576-cell cap"),
+    ],
+)
+def test_a_construction_over_its_cap_is_refused_before_any_prime_test(family, size, value, message, capsys):
+    """Each family compares the sizes it would build with their caps
+    before it tests its parameter for primality or builds a field."""
+    start = time.perf_counter()
+    assert cli.main(["construct", "--family", family, size, value]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 WELCH7_JSON = pattern_json(construct_welch(7, 3))

@@ -203,12 +203,13 @@ def test_table_build_rejects_a_non_primitive_generator(monkeypatch, p, k, elemen
 def test_addition_group_axioms(p, k):
     f = Field(p, k)
     for a in range(f.order):
-        assert f.add(a, f.neg(a)) == 0
+        neg = f.sub(0, a)
+        assert f.add(a, neg) == 0
         assert f.add(a, 0) == a
-        assert f.neg(a) == code(p, [-x % p for x in f.coeffs(a)])
+        assert neg == code(p, [-x % p for x in f.coeffs(a)])
         for b in range(f.order):
             assert f.add(a, b) == f.add(b, a)
-            assert f.sub(a, b) == f.add(a, f.neg(b))
+            assert f.sub(a, b) == f.add(a, f.sub(0, b))
             assert f.add(a, b) == code(p, [(x + y) % p for x, y in zip(f.coeffs(a), f.coeffs(b))])
             assert f.sub(a, b) == code(p, [(x - y) % p for x, y in zip(f.coeffs(a), f.coeffs(b))])
 
@@ -288,8 +289,14 @@ def test_rejects_bad_parameters():
         Field(6)
     with pytest.raises(ValueError):
         Field(2, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^field order 2097152 exceeds limit 1048576$"):
         Field(2, 21)  # 2^21 exceeds the order cap
+    # over the cap by p or k alone: refused with no trial division of p and
+    # no power p**k built
+    with pytest.raises(ValueError, match="^field order 3\\^1000000000 exceeds limit 1048576$"):
+        Field(3, 10**9)
+    with pytest.raises(ValueError, match="^field order 1000000000000000003 exceeds limit 1048576$"):
+        Field(10**18 + 3)  # prime
 
 
 def test_coeffs_round_trip_and_validation():

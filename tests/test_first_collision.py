@@ -24,7 +24,7 @@ from sidon2d import (
     verify_weak_sidon,
 )
 from sidon2d import ddc as ddc_module
-from sidon2d.groups import differences_distinct, first_difference_collision
+from sidon2d.groups import first_difference_collision, sums_distinct
 
 # -- oracles ------------------------------------------------------------------
 
@@ -109,10 +109,10 @@ def patterns(draw):
     """Dots on a tiling whose triangular basis ((a, b), (0, d)) has
     1 <= a, d <= 12, often with a planted collision modulo the lattice.
     The quotient is cyclic when gcd(a, b, d) = 1 and Z_m1 x Z_m2 with
-    m1 > 1 otherwise; up to 16 dots in up to 144 cells put cyclic
-    quotients on both sides of the rule that picks the rotating bitmap
-    (n(n - 1) < m <= 600n) over packed lanes, whose sums every quotient
-    of at most 144 elements marks in a table."""
+    m1 > 1 otherwise; up to 16 dots in up to 144 cells give cyclic
+    quotients of at most n(n - 1) elements, where no n dots form a
+    periodic DDC, and of more, and every quotient of at most 144
+    elements marks its packed sums in a table."""
     a, d = draw(st.integers(1, 12)), draw(st.integers(1, 12))
     lattice = Lattice(((a, draw(st.integers(0, d - 1))), (0, d)))
     shape = fundamental_shape(lattice)
@@ -156,7 +156,7 @@ def test_pattern_scans_match_their_oracles(pattern):
     assert is_doubly_periodic_ddc(pattern) == oracle
     lattice = pattern.lattice
     images = [lattice.phi(p) for p in sorted(pattern.dots)]
-    assert differences_distinct(lattice.moduli, images) == (oracle is None)
+    assert sums_distinct(lattice.moduli, images) == (oracle is None)
     assert is_ddc(pattern.dots) == oracle_is_ddc(pattern.dots)
 
 

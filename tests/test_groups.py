@@ -18,7 +18,7 @@ from sidon2d import (
     verify_weak_sidon,
 )
 from sidon2d import groups
-from sidon2d.groups import Collision, _lanes_distinct, differences_distinct, first_difference_collision
+from sidon2d.groups import Collision, first_difference_collision, sums_distinct
 from sidon2d.sidon import construct_power_pairs
 
 
@@ -164,9 +164,9 @@ def planted_subsets(draw):
 
     Moduli run up to 2^70, so a packed element can be wider than one
     64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
-    Rank-1 groups fall on both sides of the rule that picks the rotating
-    bitmap (n(n - 1) < m <= 600n) over packed lanes, and groups on both
-    sides of 2^21, the largest order whose sums are marked in a table."""
+    Groups fall on both sides of 2^21, the largest order whose sums are
+    marked in a table, and rank-1 groups have at most n(n - 1) elements,
+    where no n elements are Sidon, or more."""
     modulus = (
         st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
     )
@@ -204,12 +204,12 @@ PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
 @example((GroupSpec((6,)), [(0,), (1,), (3,)]))
 @example((GroupSpec((18,)), [(0,), (1,), (3,)]))  # m = 2n^2
 @example((GroupSpec((19,)), [(0,), (1,), (3,)]))  # m = 2n^2 + 1
-@example((GroupSpec((1800,)), [(0,), (1,), (3,)]))  # m = 600n: the bitmap
-@example((GroupSpec((1801,)), [(0,), (1,), (3,)]))  # m = 600n + 1: lanes
+@example((GroupSpec((1800,)), [(0,), (1,), (3,)]))  # m = 600n: a sparse cyclic table
+@example((GroupSpec((1801,)), [(0,), (1,), (3,)]))  # m = 600n + 1
 @example((GroupSpec((19,)), [(0,), (1,), (2,)]))
-@example((GroupSpec((20,)), [(0,), (1,), (4,), (14,), (16,)]))  # n(n - 1) = m: lanes
+@example((GroupSpec((20,)), [(0,), (1,), (4,), (14,), (16,)]))  # n(n - 1) = m: too dense for Sidon
 @example((GroupSpec((21,)), [(0,), (1,), (4,), (14,), (16,)]))  # a perfect difference set
-@example((GroupSpec((360000,)), [(c,) for c in range(600)]))  # the largest bitmap
+@example((GroupSpec((360000,)), [(c,) for c in range(600)]))  # m = 600n at n = 600
 @example((GroupSpec((2**21,)), [(c,) for c in range(1024)]))  # the largest table
 @example((GroupSpec((2**21 + 1,)), [(c,) for c in range(1025)]))  # the set
 @example((GroupSpec((2**21,)), [(0,), (1,), (3,)]))
@@ -232,10 +232,8 @@ def test_verify_sidon_equals_the_ordered_scan(case):
     s = SidonSequence(group, subset)
     scan = first_difference_collision(s.elements, group.sub)
     assert verify_sidon(s) == scan
-    # verify_sidon falls back to the scan, so check the fast path alone too,
-    # and the lanes alone, which the dispatch keeps from small cyclic groups
-    assert differences_distinct(group.moduli, s.elements) == (scan is None)
-    assert _lanes_distinct(group.moduli, s.elements) == (scan is None)
+    # verify_sidon falls back to the scan, so check the fast path alone too
+    assert sums_distinct(group.moduli, s.elements) == (scan is None)
 
 
 @given(planted_subsets())
@@ -257,7 +255,7 @@ def test_verify_weak_sidon_equals_the_pair_scan(case):
             break
         seen[key] = (a, b)
     assert verify_weak_sidon(s) == scan
-    assert _lanes_distinct(group.moduli, s.elements, skip=1) == (scan is None)
+    assert sums_distinct(group.moduli, s.elements, skip=1) == (scan is None)
 
 
 def test_lanes_form_one_key_per_sum(monkeypatch):

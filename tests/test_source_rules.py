@@ -17,7 +17,8 @@
 - Every exported name has a user outside the tests: a package module
   other than `__init__.py`, the benchmark scripts in `perfbench/`, or
   the acceptance gates name it.  API that only its own tests call is
-  removed, or moved into a test oracle module.
+  removed, or moved into a test oracle module.  The same holds for
+  every public method and property of a package class.
 - No module imports `dataclasses`, and importing the CLI loads none of
   `dataclasses`, `inspect` or `typing`: each cold command pays for what
   it imports, and those three cost about as much as the package itself.
@@ -122,13 +123,32 @@ def names_used(path: Path) -> set[str]:
     return used
 
 
-def test_every_export_has_a_user_outside_the_tests():
+def names_used_outside_the_tests() -> set[str]:
     users = [p for p in SOURCES if p.name != "__init__.py"]
     users += sorted((REPO / "perfbench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
     assert len(users) > len(SOURCES)  # the benchmark scripts were found
-    used = set().union(*map(names_used, users))
+    return set().union(*map(names_used, users))
+
+
+def test_every_export_has_a_user_outside_the_tests():
+    used = names_used_outside_the_tests()
     unused = [name for name in sidon2d.__all__ if name != "__version__" and name not in used]
     assert unused == [], f"exported, but only the tests use: {unused}"
+
+
+def test_every_public_method_has_a_user_outside_the_tests():
+    used = names_used_outside_the_tests()
+    methods = [
+        f"{cls.name}.{node.name}"
+        for path in SOURCES
+        for cls in parse(path).body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert len(methods) > 20  # the classes were found
+    unused = [name for name in methods if name.split(".")[1] not in used]
+    assert unused == [], f"public, but only the tests call: {unused}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)

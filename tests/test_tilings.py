@@ -269,6 +269,26 @@ def test_a_box_is_found_only_in_its_own_cell_list():
     assert Shape(reordered) == Shape(box)
 
 
+def test_a_tiling_tells_a_box_by_the_shape_not_its_bounds(monkeypatch):
+    """The 2^20 - 1-cell box of 1023,0;0,1025 with its last cell (1022,
+    1024) moved to (-1, 1024), a cell of the same coset, and the box moved
+    by (-1, -1): a tiling reads the box case from the shape's own box, so
+    neither asks for the bounds of its shape."""
+
+    def refuse(self):
+        raise AssertionError("the bounds were asked for")
+
+    lattice = Lattice(((1023, 0), (0, 1025)))
+    moved = Shape([c for c in product(range(1023), range(1025)) if c != (1022, 1024)] + [(-1, 1024)])
+    monkeypatch.setattr(Shape, "bounds", refuse)
+    tiling = Tiling(lattice, moved)
+    assert tiling._cells is not None
+    assert [tiling.representative(p) for p in [(1022, 1024), (-1, -1), (5, 7)]] == [(-1, 1024), (-1, 1024), (5, 7)]
+    tiling = Tiling(lattice, Shape._of_box((-1, -1, 1021, 1023)))
+    assert tiling._cells is None
+    assert [tiling.representative(p) for p in [(1022, 1024), (-1, -1), (5, 7)]] == [(-1, -1), (-1, -1), (5, 7)]
+
+
 @given(tilings(), st.data())
 @settings(max_examples=300, deadline=None)
 def test_render_is_the_cell_by_cell_render(tiling, data):
