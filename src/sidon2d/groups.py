@@ -10,10 +10,12 @@ sums_distinct, for every kind: it builds the sums a row at a time in
 packed lanes, n(n + 1)/2 of them for a Sidon check and the n(n - 1)/2
 sums of distinct elements for a weak-Sidon one, and marks them in a
 table of one byte per element on a group of at most 2^21 elements and
-in a set beyond.  A Sidon sequence in Z_n and a doubly periodic DDC in
-Z^2 modulo a lattice are both distinct-difference sets, told apart only
-by their subtraction: first_difference_collision verifies either kind
-and max_distinct_difference_set searches either for its largest member.
+in a set beyond; trailing factors Z_2, as in the power pairs'
+GF(2^k)+, are bits added by XOR.  A Sidon sequence in Z_n and a doubly
+periodic DDC in Z^2 modulo a lattice are both distinct-difference
+sets, told apart only by their subtraction: first_difference_collision
+verifies either kind and max_distinct_difference_set searches either
+for its largest member.
 """
 
 from __future__ import annotations
@@ -157,8 +159,11 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
     s_i = m_i.bit_length() bits under a flag bit.  Slot i of a + b holds
     a_i + b_i in [0, 2m_i), which fits the slot and its flag; adding
     2^s_i - m_i raises the flag exactly where that is at least m_i, and
-    so where m_i must be subtracted to leave the residue.  Each element
-    has a lane of 64k bits in one int, and row i takes the lanes from
+    so where m_i must be subtracted to leave the residue.  The k factors
+    Z_2 after the last factor of another modulus are k bits under the
+    slots, the last factor lowest, with no flag: in Z_2 a sum is an XOR,
+    so the row adds the slots and then XORs in b's bits.  Each element
+    has a lane of 64w bits in one int, and row i takes the lanes from
     i + skip on by a shift, so a row costs a handful of whole-int
     operations per slot.
 
@@ -166,31 +171,39 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
       slots become the index sum(c_j * W_j) of its residue, W_j the
       order of the factors after j, and a table of one byte per element
       marks the sums seen: the check stops at the first sum already
-      marked.
+      marked.  The bits are the index's last k digits as they stand, and
+      where each slot j sits at bit log2(W_j), as for one cycle, the
+      power pairs and Z_2^k, a lane is its own index.
     - A larger group joins each row's lanes to one set as keys: one
-      machine word when k = 1, a k-tuple of words otherwise.  A key is
+      machine word when w = 1, a w-tuple of words otherwise.  A key is
       not the residue but the words that hold it, read in native byte
       order; it stands for the same sum in every row and for no other,
       and equality is all a test of distinctness asks of it.  Row i adds
       its n - i - skip keys exactly when no sum has repeated, which is
       counted after every row (pigeonhole).
     """
-    widths = [m.bit_length() for m in moduli]
-    offsets = [sum(widths[:i]) + i for i in range(len(widths))]
-    words = -(-(offsets[-1] + widths[-1] + 1) // 64)
+    k = next((j for j, m in enumerate(reversed(moduli)) if m != 2), len(moduli))
+    head = moduli[: len(moduli) - k]  # the factors before the last k, which are Z_2
+    widths = [m.bit_length() for m in head]
+    offsets = [k + sum(widths[:i]) + i for i in range(len(widths))]
+    words = -(-(k + sum(widths) + len(widths)) // 64)
     lane = 8 * words
-    mods = sum(m << o for m, o in zip(moduli, offsets))
-    lift = sum((1 << s) - m << o for m, s, o in zip(moduli, widths, offsets))
+    mods = sum(m << o for m, o in zip(head, offsets))
+    lift = sum((1 << s) - m << o for m, s, o in zip(head, widths, offsets))
     # f - (f >> s) widens a raised flag into the s bits below it, so
     # slots of one width share one shift
     flags_by_width: dict[int, int] = {}
     for s, o in zip(widths, offsets):
         flags_by_width[s] = flags_by_width.get(s, 0) | 1 << o + s
-    packed = [sum(c << o for c, o in zip(el, offsets)) for el in elements]
+    places = offsets + list(range(k))[::-1]
+    packed = [sum(c << o for c, o in zip(el, places)) for el in elements]
     n = len(packed)
     # one lane per element: rep has a 1 at the bottom of each, lanes holds it
     rep = int.from_bytes((b"\1" + bytes(lane - 1)) * n, "little")
     lanes = int.from_bytes(b"".join(b.to_bytes(lane, "little") for b in packed), "little")
+    low = (1 << k) - 1
+    bits = lanes & low * rep  # every lane's bits, taken out of lanes
+    lanes ^= bits
     lift, flags, mods = lift * rep, sum(flags_by_width.values()) * rep, mods * rep
     by_width = [(s, f * rep) for s, f in flags_by_width.items()]
     order = math.prod(moduli)
@@ -199,13 +212,13 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
     else:
         # slot j of a lane holds c_j, and its index is sum(c_j * W_j), W_j
         # the order of the factors after j: its place in elements() order
-        table, slots, weight = bytearray(order), [], 1
-        for m, s, o in reversed(list(zip(moduli, widths, offsets))):
+        table, slots, weight = bytearray(order), [(0, low * rep, 1)] if k else [], 1 << k
+        for m, s, o in reversed(list(zip(head, widths, offsets))):
             if m > 1:
                 slots.append((o, ((1 << s) - 1) * rep, weight))
             weight *= m
-        compact = [o for o, _, _ in slots] != [0]  # else a lane is its own index
-        low = 0 if sys.byteorder == "little" else words - 1  # the word an index sits in
+        compact = any(1 << o != w for o, _, w in slots)  # else a lane is its own index
+        word = 0 if sys.byteorder == "little" else words - 1  # the word an index sits in
     for i, a in enumerate(packed[: n - skip]):
         # row i: a + b over the n - i - skip lanes of packed[i + skip:]
         shift = 8 * lane * (i + skip)
@@ -216,6 +229,8 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
             f &= raised
             over |= f - (f >> s)
         row -= over & mods
+        if k:
+            row ^= bits >> shift  # a's bits, added by the product, XOR b's
         size = (n - i - skip) * lane
         if order > _TABLE_ORDER:
             keys = memoryview(row.to_bytes(size, "little")).cast("Q")
@@ -225,10 +240,10 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
             continue
         if compact:
             row = sum((row >> o & mask) * w for o, mask, w in slots)
-        for k in memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[low::words]:
-            if table[k]:
+        for key in memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[word::words]:
+            if table[key]:
                 return False
-            table[k] = 1
+            table[key] = 1
     return True
 
 
@@ -315,7 +330,7 @@ def max_distinct_difference_set(
                 used_c |= (1 << c) - 1  # c is the lowest-ranked difference
             chosen.append(c)
             if extend(used_c, [(y, ymask | ab) for y, ymask in admissible[pos + 1 :] for ab in [row[y]]
-                               if ab and not (ab & (used_c | ymask) or ymask & cmask)]):
+                               if ab and not ((ab | ymask) & used_c or ab & ymask)]):
                 return True
             chosen.pop()
         return False

@@ -163,15 +163,18 @@ def planted_subsets(draw):
     w = x - y + z joins x, y, z, so that x - y == w - z.
 
     Moduli run up to 2^70, so a packed element can be wider than one
-    64-bit word, and mix small and large factors, as in (1023, 2, 2, 2).
-    Groups fall on both sides of 2^21, the largest order whose sums are
-    marked in a table, and rank-1 groups have at most n(n - 1) elements,
-    where no n elements are Sidon, or more."""
+    64-bit word, and mix small and large factors, as in (1023, 2, 2, 2);
+    a cycle followed by 1-12 factors Z_2 has the shape of the power pairs,
+    whose Z_2 factors are added as bits.  Groups fall on both sides of
+    2^21, the largest order whose sums are marked in a table, and rank-1
+    groups have at most n(n - 1) elements, where no n elements are Sidon,
+    or more."""
     modulus = (
         st.integers(1, 12) | st.integers(13, 300) | st.sampled_from([1023, 2**64, 10**18]) | st.integers(1, 2**70)
     )
     small_cycle = st.lists(st.integers(1, 60), min_size=1, max_size=1)
-    moduli = draw(st.lists(modulus, min_size=1, max_size=4) | small_cycle)
+    cycle_then_bits = st.builds(lambda m, k: [m] + [2] * k, modulus, st.integers(1, 12))
+    moduli = draw(st.lists(modulus, min_size=1, max_size=4) | small_cycle | cycle_then_bits)
     group = GroupSpec(tuple(moduli))
     if group.order <= 1000:
         pool = list(group.elements())
@@ -195,6 +198,35 @@ POWER_PAIRS_SHAPED = [(i,) + tuple(int(j == i) for j in range(10)) for i in rang
 # planted for their first three elements x, y, z
 POWER_PAIRS_16 = list(construct_power_pairs(16).elements)
 PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
+# the power pairs at q = 2048, a group over the table order, with w planted
+_G2048 = GroupSpec((2047,) + (2,) * 11)
+PLANTED_2048 = list(construct_power_pairs(2048).elements)
+PLANTED_2048.append(_G2048.add(_G2048.sub(*PLANTED_2048[:2]), PLANTED_2048[2]))
+# groups with factors Z_2, which are added as bits when they come last:
+# alone, before a trailing Z_1 (so not bits), before and after another
+# cycle, behind a leading Z_2 that keeps its flagged slot, in the power
+# pairs at q = 2048, and after 2^40, where the bits make a lane one word
+BIT_LAYOUTS = [
+    (GroupSpec((2,)), [(0,), (1,)]),
+    (GroupSpec((2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    (GroupSpec((2, 2, 2)), [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+    (GroupSpec((1, 2, 1)), [(0, 0, 0), (0, 1, 0)]),
+    (GroupSpec((2, 3)), [(0, 0), (1, 1), (0, 2)]),
+    (GroupSpec((2, 3)), [(0, 0), (1, 1), (0, 2), (1, 0)]),
+    (GroupSpec((3, 2, 2)), [(0, 0, 0), (1, 1, 0), (2, 0, 1)]),
+    (GroupSpec((3, 2, 2)), [(0, 0, 0), (1, 1, 0), (2, 0, 1), (0, 1, 1)]),
+    (GroupSpec((2, 15, 2, 2)), [(0, 0, 0, 0), (1, 1, 0, 1), (0, 3, 1, 1), (1, 7, 1, 0)]),
+    (GroupSpec((2, 15, 2, 2)), [(0, 0, 0, 0), (1, 1, 0, 1), (0, 3, 1, 1), (1, 2, 1, 0)]),
+    (_G2048, PLANTED_2048),
+    (GroupSpec((2**40,) + (2,) * 20), [(0,) * 21, (1, 1) + (0,) * 19, (2**39 + 5,) + (0,) * 19 + (1,)]),
+    (GroupSpec((2**40,) + (2,) * 20), [(0,) * 21, (1, 1) + (0,) * 19, (2, 0) + (1,) * 19, (3,) + (1,) * 20]),
+]
+
+
+def bit_layouts(test):
+    for case in reversed(BIT_LAYOUTS):
+        test = example(case)(test)
+    return test
 
 
 @given(planted_subsets())
@@ -226,6 +258,7 @@ PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
 @example((GroupSpec((7,)), [(0,), (1,), (3,)]))  # n(n - 1) = |G| - 1
 @example((GroupSpec((15, 2, 2, 2, 2)), POWER_PAIRS_16))
 @example((GroupSpec((15, 2, 2, 2, 2)), PLANTED_16))
+@bit_layouts
 @settings(max_examples=300, deadline=None)
 def test_verify_sidon_equals_the_ordered_scan(case):
     group, subset = case
@@ -243,6 +276,7 @@ def test_verify_sidon_equals_the_ordered_scan(case):
 @example((GroupSpec((1,) * 40 + (7,)), [(0,) * 40 + (c,) for c in (0, 1, 3)]))
 @example((GroupSpec((15, 2, 2, 2, 2)), POWER_PAIRS_16))
 @example((GroupSpec((15, 2, 2, 2, 2)), PLANTED_16))
+@bit_layouts
 @settings(max_examples=300, deadline=None)
 def test_verify_weak_sidon_equals_the_pair_scan(case):
     group, subset = case
@@ -280,6 +314,31 @@ def test_lanes_form_one_key_per_sum(monkeypatch):
     assert [len(row) for row in rows] == list(range(n, 0, -1))
     assert marked == [k for row in rows for k in row]
     assert len(marked) == n * (n + 1) // 2
+
+
+def test_lanes_behind_a_flagged_z2_are_compacted_to_one_key_per_sum(monkeypatch):
+    # in Z_2 x Z_15 x Z_2 x Z_2 only the last two factors are bits: the
+    # leading Z_2 and Z_15 keep flagged slots, so each lane is compacted,
+    # and still marks each sum at its place in the group's elements()
+    group = GroupSpec((2, 15, 2, 2))
+    chosen = []
+    for el in group.elements():
+        if verify_sidon_sums(SidonSequence(group, chosen + [el])) is None:
+            chosen.append(el)
+    s = SidonSequence(group, chosen)
+    marked = []
+
+    class CountingTable(bytearray):
+        def __setitem__(self, key, value):
+            marked.append(key)
+            super().__setitem__(key, value)
+
+    monkeypatch.setattr(groups, "bytearray", CountingTable, raising=False)
+    assert verify_sidon(s) is None
+    monkeypatch.undo()
+    index = {el: i for i, el in enumerate(group.elements())}
+    assert len(s) == 8
+    assert marked == [index[group.add(a, b)] for i, a in enumerate(s.elements) for b in s.elements[i:]]
 
 
 def test_a_group_over_the_table_order_keeps_one_key_per_sum(monkeypatch):
