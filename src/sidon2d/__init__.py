@@ -7,8 +7,6 @@ from .groups import (
     GroupSpec,
     SidonSequence,
     crt_flatten,
-    sequence_from_json,
-    sequence_to_json,
     sidon_upper_bound,
     verify_sidon,
     verify_sidon_sums,
@@ -57,8 +55,6 @@ __all__ = [
     "GroupSpec",
     "SidonSequence",
     "crt_flatten",
-    "sequence_from_json",
-    "sequence_to_json",
     "sidon_upper_bound",
     "verify_sidon",
     "verify_sidon_sums",

@@ -26,8 +26,7 @@ from .ddc import (
 from .folding import folding_directions
 from .groups import (
     GroupSpec,
-    sequence_from_json,
-    sequence_to_json,
+    SidonSequence,
     verify_sidon,
     verify_weak_sidon,
 )
@@ -128,6 +127,19 @@ def _parse_json(text: str) -> dict:
     return data
 
 
+def _read_sequence(path: str | None) -> SidonSequence:
+    """The sequence as _emit_sequence writes it, or a ValueError."""
+    data = _read_json(path)
+    try:
+        if "modulus" in data:
+            return SidonSequence.from_ints(data["modulus"], data["elements"])
+        if "moduli" in data:
+            return SidonSequence(GroupSpec(data["moduli"]), data["elements"])
+    except KeyError as missing:
+        raise ValueError(f"sequence JSON is missing the {missing} key") from None
+    raise ValueError("sequence JSON needs a 'modulus' or 'moduli' key")
+
+
 def _read_pattern(path: str | None) -> PeriodicDdc:
     """The pattern as _emit_pattern writes it, or a ValueError; without a
     JSON object per shape cell when the text is what it writes for a box."""
@@ -213,6 +225,16 @@ def _emit_pattern(pattern: PeriodicDdc) -> None:
     print(f'{{"lattice": {lattice}, "shape": {_shape_json(pattern.shape)}, "dots": {dots}}}')
 
 
+def _emit_sequence(seq: SidonSequence, report: bool = False) -> None:
+    """A modulus and ints for one cyclic factor, else the moduli and the
+    element tuples; with the report, as {"sequence": ..., "optimality": ...}."""
+    if seq.group.rank == 1:
+        data = {"modulus": seq.group.moduli[0], "elements": seq.as_ints()}
+    else:
+        data = {"moduli": seq.group.moduli, "elements": seq.elements}
+    _emit({"sequence": data, "optimality": check_optimality(seq).to_json()} if report else data)
+
+
 def _element_json(element: tuple[int, ...], rank: int):
     return element[0] if rank == 1 else element
 
@@ -251,10 +273,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(render_ascii(built))
     elif pattern:
         _emit_pattern(built)
-    elif args.report:
-        _emit({"sequence": sequence_to_json(built), "optimality": check_optimality(built).to_json()})
     else:
-        _emit(sequence_to_json(built))
+        _emit_sequence(built, args.report)
     return 0
 
 
@@ -268,7 +288,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             raise ValueError("ddc JSON needs a 'dots' key")
         collision = is_ddc(data["dots"])
     else:
-        seq = sequence_from_json(_read_json(args.input))
+        seq = _read_sequence(args.input)
         rank = seq.group.rank
         collision = (verify_sidon if args.kind == "sidon" else verify_weak_sidon)(seq)
     if collision is None:
@@ -288,7 +308,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_fold(args: argparse.Namespace) -> int:
-    seq = sequence_from_json(_read_json(args.input))
+    seq = _read_sequence(args.input)
     lattice = _parse_lattice(args.lattice)
     # the default shape is left to the fold, which checks the sequence first
     shape = None if args.shape is None else _parse_shape(args.shape, lattice)
@@ -302,7 +322,7 @@ def _cmd_unfold(args: argparse.Namespace) -> int:
     direction = _parse_ints(args.direction, "direction")
     anchor = None if args.anchor == "lower-left" else _parse_ints(args.anchor, "anchor")
     seq = unfold_to_sidon(pattern, direction, anchor)
-    _emit(sequence_to_json(seq))
+    _emit_sequence(seq)
     return 0
 
 

@@ -17,9 +17,9 @@ from .folding import Direction, folded_cells, folded_positions
 from .groups import (
     Collision,
     SidonSequence,
-    first_difference_collision,
+    collision_at,
+    first_repeat,
     max_distinct_difference_set,
-    sums_distinct,
     verify_sidon,
 )
 from .lattices import MAX_RECTANGLE_CELLS, Lattice, Point, Shape, Tiling, fundamental_shape
@@ -31,17 +31,16 @@ def is_ddc(dots: Iterable[Point]) -> Collision | None:
 
     Shifted into the box [0, W) x [0, H) they span, the dots have
     differences in (-W, W) x (-H, H), which reduction modulo (2W - 1,
-    2H - 1) keeps apart; so groups.sums_distinct decides in that
-    group, and only a set with a repeat is scanned for its witness.
+    2H - 1) keeps apart; so groups.first_repeat finds the first repeat
+    in that group, in the order of the sorted dots, as vectors.
     """
     pts = sorted(set(as_ints(dots, "dots", None, 2)))
     if len(pts) < 2:
         return None
     x0, y0 = pts[0][0], min(y for _, y in pts)
     moduli = (2 * (pts[-1][0] - x0) + 1, 2 * (max(y for _, y in pts) - y0) + 1)
-    if sums_distinct(moduli, [(x - x0, y - y0) for x, y in pts]):
-        return None
-    return first_difference_collision(pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
+    repeat = first_repeat(moduli, [(x - x0, y - y0) for x, y in pts])
+    return collision_at(repeat, pts, lambda a, b: (a[0] - b[0], a[1] - b[1]))
 
 
 class PeriodicDdc(Record):
@@ -75,19 +74,15 @@ def is_doubly_periodic_ddc(pattern: PeriodicDdc) -> Collision | None:
     copies of the replicated pattern.  The lattice's phi is an
     isomorphism from Z^2 modulo the lattice onto Z_m1 x Z_m2, so the
     differences are distinct exactly when those of the dots' images are,
-    that is when their sums are, which groups.sums_distinct checks a row
+    that is when their sums are, which groups.first_repeat checks a row
     of packed sums at a time, marked one at a time in a table of |S|
     bytes until one is marked already, so at most |S| + 1 are looked up
-    (pigeonhole).  Only then is it scanned in order for the witness.
+    (pigeonhole).  Only then are the differences marked, for the witness.
     """
     dots = sorted(pattern.dots)
     lattice = pattern.lattice
-    if sums_distinct(lattice.moduli, [lattice.phi(p) for p in dots]):
-        return None
-    representative = pattern.tiling.representative
-    return first_difference_collision(
-        dots, lambda a, b: representative((a[0] - b[0], a[1] - b[1]))
-    )
+    repeat = first_repeat(lattice.moduli, [lattice.phi(p) for p in dots])
+    return collision_at(repeat, dots, lambda a, b: pattern.tiling.representative((a[0] - b[0], a[1] - b[1])))
 
 
 def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:

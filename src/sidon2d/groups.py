@@ -3,19 +3,21 @@
 A Sidon sequence is a subset whose ordered differences of distinct
 elements are pairwise distinct; equivalently (and verified separately,
 because the equivalence itself is a fact worth checking) all pairwise
-sums with repetition are distinct.  Every witness in the package comes
-from one first_collision scan over (key, pair) items, and only a set
-that fails a faster yes-or-no check is scanned.  That check is
-sums_distinct, for every kind: it builds the sums a row at a time in
-packed lanes, n(n + 1)/2 of them for a Sidon check and the n(n - 1)/2
-sums of distinct elements for a weak-Sidon one, and marks them in a
-table of one byte per element on a group of at most 2^21 elements and
-in a set beyond; trailing factors Z_2, as in the power pairs'
-GF(2^k)+, are bits added by XOR.  A Sidon sequence in Z_n and a doubly
-periodic DDC in Z^2 modulo a lattice are both distinct-difference
-sets, told apart only by their subtraction: first_difference_collision
-verifies either kind and max_distinct_difference_set searches either
-for its largest member.
+sums with repetition are distinct.  One row kernel, first_repeat,
+decides every distinctness check and names its witness: it builds the
+sums a row at a time in packed lanes, n(n + 1)/2 of them for a Sidon
+check and the n(n - 1)/2 sums of distinct elements for a weak-Sidon
+one, and marks them in a table of one byte per element on a group of
+at most 2^21 elements and in a set beyond; trailing factors Z_2, as in
+the power pairs' GF(2^k)+, are bits added by XOR.  The first repeated
+sum is the weak-Sidon witness; a Sidon check that finds one builds
+difference rows the same way for the first repeated difference.  A
+Sidon sequence in Z_n and a doubly periodic DDC in Z^2 modulo a
+lattice are both distinct-difference sets, told apart only by their
+subtraction: first_repeat verifies either kind, each caller naming its
+pairs with collision_at, and max_distinct_difference_set searches
+either for its largest member.  first_collision's dict scan is left to
+the gate's check of the sums, verify_sidon_sums, and to duplicates.
 """
 
 from __future__ import annotations
@@ -61,10 +63,6 @@ class GroupSpec(Record):
     def identity(self) -> Element:
         return (0,) * len(self.moduli)
 
-    def normalize(self, el: Iterable[int]) -> Element:
-        t = as_ints(el, "group element", len(self.moduli))
-        return tuple(c % m for c, m in zip(t, self.moduli))
-
     def add(self, a: Element, b: Element) -> Element:
         return tuple((x + y) % m for x, y, m in zip(a, b, self.moduli))
 
@@ -87,7 +85,7 @@ class SidonSequence(Record):
     def __init__(self, group: GroupSpec, elements: Iterable[Iterable[int]]):
         self.group = group
         elements = as_ints(elements, "sequence elements", None, group.rank)
-        normalized = [group.normalize(e) for e in elements]
+        normalized = [tuple(c % m for c, m in zip(e, group.moduli)) for e in elements]
         repeat = first_collision((e, None) for e in normalized)
         if repeat:
             raise ValueError(f"duplicate element {repeat.key}")
@@ -135,52 +133,61 @@ def first_collision(keyed_pairs: Iterable[tuple[Hashable, Any]]) -> Collision | 
 
 def verify_sidon(seq: SidonSequence) -> Collision | None:
     """First collision among ordered differences of distinct elements, if any."""
-    if sums_distinct(seq.group.moduli, seq.elements):
+    return collision_at(first_repeat(seq.group.moduli, seq.elements), seq.elements, seq.group.sub)
+
+
+def collision_at(repeat: tuple | None, labels: Sequence, key: Callable[[Any, Any], Hashable]) -> Collision | None:
+    """The collision that first_repeat's index pairs name: both pairs as
+    labels, keyed by key(c, d) of the later pair (c, d); None for None."""
+    if repeat is None:
         return None
-    return first_difference_collision(seq.elements, seq.group.sub)
+    (a, b), (c, d) = [(labels[i], labels[j]) for i, j in repeat]
+    return Collision(key(c, d), (a, b), (c, d))
 
 
-def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: int = 0) -> bool:
-    """Whether the sums a + b of two elements, b at or after a in the
-    list, are distinct; with skip = 1, the sums of two distinct elements.
-    The elements must be distinct.
+def first_repeat(moduli: tuple[int, ...], elements: Sequence[Element], skip: int = 0) -> tuple | None:
+    """The index pairs ((i, j), (k, l)) of the first repeated key, or None:
+    (k, l) is the first pair to repeat a key, (i, j) the earlier pair.
 
-    With skip = 0 this is whether the ordered differences of distinct
-    elements are distinct, as a - b = c - d is a + d = c + b: the fast
-    path of verify_sidon, and of the periodic-DDC check on a pattern's
-    dots mapped into Z^2 modulo its lattice by Lattice.phi.  The
-    diagonal b = a stays, since only it catches 2-torsion: in {0, e}
-    with 2e = 0, e - 0 = 0 - e, and among the sums only 0 + 0 = e + e
-    repeats.  With skip = 1 it is the fast path of verify_weak_sidon.
+    The keys are the differences a - b of distinct elements, b over the
+    whole list for each a = elements[i] in turn; with skip = 1, the sums
+    a + b of each b after a, in combinations(elements, 2) order.  The
+    elements must be distinct.  Sums decide both: with skip = 0, those
+    of b at or after a, as a - b = c - d is a + d = c + b; the diagonal
+    b = a catches 2-torsion: in {0, e} with 2e = 0, e - 0 = 0 - e, and
+    only 0 + 0 = e + e repeats.  Only then are the differences built.
 
-    It goes a row at a time, row i holding the sums of a = elements[i]
-    and each b from elements[i + skip] on, each row built with a few
-    big-int operations.  Component i of an element sits in a slot of
-    s_i = m_i.bit_length() bits under a flag bit.  Slot i of a + b holds
-    a_i + b_i in [0, 2m_i), which fits the slot and its flag; adding
+    Row i holds a plus each b from elements[i + skip] on, or plus m - b
+    for each b but a.  Component i of an element sits in a slot of
+    s_i = m_i.bit_length() bits under a flag bit.  Slot i of a row holds
+    a value in [0, 2m_i), which fits the slot and its flag; adding
     2^s_i - m_i raises the flag exactly where that is at least m_i, and
     so where m_i must be subtracted to leave the residue.  The k factors
     Z_2 after the last factor of another modulus are k bits under the
-    slots, the last factor lowest, with no flag: in Z_2 a sum is an XOR,
-    so the row adds the slots and then XORs in b's bits.  Each element
-    has a lane of 64w bits in one int, and row i takes the lanes from
-    i + skip on by a shift, so a row costs a handful of whole-int
+    slots, the last factor lowest, with no flag: in Z_2 a sum and a
+    difference are an XOR, so the row adds the slots and then XORs in
+    b's bits.  Each element has a lane of 64w bits in one int, and a row
+    takes its lanes by a shift, so it costs a handful of whole-int
     operations per slot.
 
     - On a group of at most _TABLE_ORDER = 2^21 elements, each lane's
       slots become the index sum(c_j * W_j) of its residue, W_j the
       order of the factors after j, and a table of one byte per element
-      marks the sums seen: the check stops at the first sum already
+      marks the keys seen: a pass stops at the first key already
       marked.  The bits are the index's last k digits as they stand, and
       where each slot j sits at bit log2(W_j), as for one cycle, the
       power pairs and Z_2^k, a lane is its own index.
     - A larger group joins each row's lanes to one set as keys: one
       machine word when w = 1, a w-tuple of words otherwise.  A key is
       not the residue but the words that hold it, read in native byte
-      order; it stands for the same sum in every row and for no other,
-      and equality is all a test of distinctness asks of it.  Row i adds
-      its n - i - skip keys exactly when no sum has repeated, which is
-      counted after every row (pigeonhole).
+      order; it stands for the same residue in every row and for no
+      other, and equality is all a test of distinctness asks of it.  A
+      row adds all its keys exactly when none has repeated, which is
+      counted after every row (pigeonhole); the repeat is then the first
+      of the row's keys that the earlier rows, built again, share.
+
+    No row holds a key twice, so the earlier pair is in the one earlier
+    row that holds the key.
     """
     k = next((j for j, m in enumerate(reversed(moduli)) if m != 2), len(moduli))
     head = moduli[: len(moduli) - k]  # the factors before the last k, which are Z_2
@@ -207,22 +214,23 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
     lift, flags, mods = lift * rep, sum(flags_by_width.values()) * rep, mods * rep
     by_width = [(s, f * rep) for s, f in flags_by_width.items()]
     order = math.prod(moduli)
-    if order > _TABLE_ORDER:
-        seen: set = set()
-    else:
+    big = order > _TABLE_ORDER
+    if not big:
         # slot j of a lane holds c_j, and its index is sum(c_j * W_j), W_j
         # the order of the factors after j: its place in elements() order
-        table, slots, weight = bytearray(order), [(0, low * rep, 1)] if k else [], 1 << k
+        slots, weight = [(0, low * rep, 1)] if k else [], 1 << k
         for m, s, o in reversed(list(zip(head, widths, offsets))):
             if m > 1:
                 slots.append((o, ((1 << s) - 1) * rep, weight))
             weight *= m
         compact = any(1 << o != w for o, _, w in slots)  # else a lane is its own index
-        word = 0 if sys.byteorder == "little" else words - 1  # the word an index sits in
-    for i, a in enumerate(packed[: n - skip]):
-        # row i: a + b over the n - i - skip lanes of packed[i + skip:]
-        shift = 8 * lane * (i + skip)
-        row = a * (rep >> shift) + (lanes >> shift)
+        step = words if sys.byteorder == "little" else -words  # each lane's low word, in order
+
+    def row(i: int, diff: bool) -> Iterable:
+        # sums: a + b over the lanes from i + skip on; differences:
+        # a + (m - b) over every lane, lane i (a - a = 0) then cut out
+        shift = 0 if diff else 8 * lane * (i + skip)
+        row = packed[i] * (rep >> shift) + ((mods - lanes if diff else lanes) >> shift)
         raised = row + (lift >> shift) & flags
         over = 0
         for s, f in by_width:
@@ -231,28 +239,44 @@ def sums_distinct(moduli: tuple[int, ...], elements: Sequence[Element], skip: in
         row -= over & mods
         if k:
             row ^= bits >> shift  # a's bits, added by the product, XOR b's
-        size = (n - i - skip) * lane
-        if order > _TABLE_ORDER:
+        if diff:
+            row = row & (1 << 8 * lane * i) - 1 | row >> 8 * lane * (i + 1) << 8 * lane * i
+        size = (n - 1 if diff else n - i - skip) * lane
+        if big:
             keys = memoryview(row.to_bytes(size, "little")).cast("Q")
-            seen.update(keys if words == 1 else zip(*[iter(keys)] * words))
-            if len(seen) != (i + 1) * (2 * (n - skip) - i) // 2:
-                return False
-            continue
+            return keys if words == 1 else zip(*[iter(keys)] * words)
         if compact:
             row = sum((row >> o & mask) * w for o, mask, w in slots)
-        for key in memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[word::words]:
-            if table[key]:
-                return False
-            table[key] = 1
-    return True
+        return memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[::step]
 
+    def first_repeated_key(diff: bool) -> tuple | None:
+        seen = set() if big else bytearray(order)
+        for i in range(n if diff else n - skip):
+            if big:  # rows 0 to i hold (i + 1)(n - 1) differences or their sums
+                seen.update(row(i, diff))
+                if len(seen) != (i + 1) * (2 * n - 2 if diff else 2 * (n - skip) - i) // 2:
+                    later = set(row(i, diff))  # the repeat: its first key that earlier rows share
+                    shared = set().union(*(later.intersection(row(r, diff)) for r in range(i)))
+                    return i, next(key for key in row(i, diff) if key in shared)
+                continue
+            for key in row(i, diff):
+                if seen[key]:
+                    return i, key
+                seen[key] = 1
+        return None
 
-def first_difference_collision(
-    elements: Sequence[Hashable], sub: Callable[[Any, Any], Hashable]
-) -> Collision | None:
-    """The first difference sub(a, b) of distinct elements that repeats,
-    pairs (a, b) taken in the order of the elements, with both pairs."""
-    return first_collision((sub(a, b), (a, b)) for a in elements for b in elements if a != b)
+    def element(i: int, key: Hashable) -> int:
+        # the index of b where row i holds the key: rows of differences skip b = a
+        c = list(row(i, diff)).index(key)
+        return c + (c >= i) if diff else i + skip + c
+
+    for diff in (False, True)[: 2 - skip]:  # sums decide; differences name a Sidon witness
+        repeat = first_repeated_key(diff)
+        if repeat is None:
+            return None
+    last, key = repeat
+    i = next(i for i in range(last) if key in row(i, diff))  # no row holds a key twice
+    return (i, element(i, key)), (last, element(last, key))
 
 
 def verify_sidon_sums(seq: SidonSequence) -> Collision | None:
@@ -264,13 +288,8 @@ def verify_sidon_sums(seq: SidonSequence) -> Collision | None:
 
 
 def verify_weak_sidon(seq: SidonSequence) -> Collision | None:
-    """Like verify_sidon_sums but only sums of two distinct elements:
-    decided by the sum lanes with b after a, then scanned for the
-    witness only when some sum repeats."""
-    if sums_distinct(seq.group.moduli, seq.elements, skip=1):
-        return None
-    add = seq.group.add
-    return first_collision((add(a, b), (a, b)) for a, b in combinations(seq.elements, 2))
+    """Like verify_sidon_sums but only sums of two distinct elements."""
+    return collision_at(first_repeat(seq.group.moduli, seq.elements, skip=1), seq.elements, seq.group.add)
 
 
 def sidon_upper_bound(n: int) -> int:
@@ -351,23 +370,3 @@ def crt_flatten(seq: SidonSequence) -> SidonSequence:
     return SidonSequence.from_ints(
         n, [sum(c * w for c, w in zip(el, weights)) % n for el in seq.elements]
     )
-
-
-def sequence_to_json(seq: SidonSequence) -> dict:
-    """The sequence as JSON: a modulus and integer elements for one cyclic
-    factor, otherwise the moduli and the elements as lists."""
-    if seq.group.rank == 1:
-        return {"modulus": seq.group.moduli[0], "elements": seq.as_ints()}
-    return {"moduli": list(seq.group.moduli), "elements": [list(e) for e in seq.elements]}
-
-
-def sequence_from_json(data: dict) -> SidonSequence:
-    """The sequence that sequence_to_json wrote, or a ValueError."""
-    try:
-        if "modulus" in data:
-            return SidonSequence.from_ints(data["modulus"], data["elements"])
-        if "moduli" in data:
-            return SidonSequence(GroupSpec(data["moduli"]), data["elements"])
-    except KeyError as missing:
-        raise ValueError(f"sequence JSON is missing the {missing} key") from None
-    raise ValueError("sequence JSON needs a 'modulus' or 'moduli' key")

@@ -4,6 +4,7 @@ in-process where a test counts or forbids library calls."""
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import sidon2d
-from sidon2d import Lattice, Shape, Tiling, cli, construct_welch, fold_sidon_to_ddc
+from sidon2d import GroupSpec, Lattice, Shape, SidonSequence, Tiling, cli, construct_welch, fold_sidon_to_ddc
 
 CLI = [sys.executable, "-m", "sidon2d"]
 # The children run the package these tests import, whether it is
@@ -183,6 +184,46 @@ def test_verify_sidon_of_a_large_set_stops_at_its_first_short_row():
         }
 
 
+def test_verify_of_a_late_collision_names_it_in_bounded_memory():
+    """2,000 random elements below 10^17 in Z_(10^18), plus
+    s_-1 + s_-2 - s_-3, so that the one repeat comes late.  Both checks
+    name it under a 256 MB address-space limit, where the platform has
+    one: the witness comes from rows of packed keys, not from a dict
+    entry per pair."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    rng = random.Random(0)
+    elements = [rng.randrange(10**17) for _ in range(2000)]
+    elements.append(elements[-1] + elements[-2] - elements[-3])
+    text = json.dumps({"modulus": 10**18, "elements": elements})
+    witnesses = {
+        "sidon": {
+            "kind": "difference-collision",
+            "difference": 950343004973425042,
+            "pair_a": [25828282799409154, 75485277825984112],
+            "pair_b": [53221457703888788, 102878452730463746],
+        },
+        "weak-sidon": {
+            "kind": "sum-collision",
+            "total": 128706735529872900,
+            "pair_a": [25828282799409154, 102878452730463746],
+            "pair_b": [53221457703888788, 75485277825984112],
+        },
+    }
+    for kind, witness in witnesses.items():
+        proc = subprocess.run(
+            CLI + ["verify", "--kind", kind], input=text, capture_output=True, text=True, env=ENV, preexec_fn=limit
+        )
+        assert (proc.returncode, proc.stderr) == (2, "")
+        assert out_json(proc) == {"ok": False, **witness}
+
+
 def test_verify_weak_sidon_both_ways():
     ok = run_cli("verify", "--kind", "weak-sidon", stdin='{"modulus": 8, "elements": [0, 1, 2]}')
     assert ok.returncode == 0
@@ -227,6 +268,41 @@ def test_verify_reads_input_file(tmp_path):
     proc = run_cli("verify", "--kind", "sidon", "--input", str(path))
     assert proc.returncode == 0
     assert out_json(proc) == {"ok": True}
+
+
+# -- the sequence format -------------------------------------------------------
+
+
+def emitted_and_read_back(seq, tmp_path, capsys):
+    cli._emit_sequence(seq)
+    text = capsys.readouterr().out
+    path = tmp_path / "sequence.json"
+    path.write_text(text)
+    return text, cli._read_sequence(str(path))
+
+
+def test_sequence_json_rank_one(tmp_path, capsys):
+    s = SidonSequence.from_ints(42, [0, 8, 10])
+    text, read = emitted_and_read_back(s, tmp_path, capsys)
+    assert text == '{"modulus": 42, "elements": [0, 8, 10]}\n'
+    assert read == s
+
+
+def test_sequence_json_multi_rank(tmp_path, capsys):
+    s = SidonSequence(GroupSpec((6, 7)), [(0, 0), (1, 3)])
+    text, read = emitted_and_read_back(s, tmp_path, capsys)
+    assert text == '{"moduli": [6, 7], "elements": [[0, 0], [1, 3]]}\n'
+    assert read == s
+
+
+def test_sequence_json_rejects_garbage(tmp_path):
+    path = tmp_path / "sequence.json"
+    path.write_text('{"elements": [0, 1]}')
+    with pytest.raises(ValueError, match="^sequence JSON needs a 'modulus' or 'moduli' key$"):
+        cli._read_sequence(str(path))
+    path.write_text('{"modulus": 7}')
+    with pytest.raises(ValueError, match="^sequence JSON is missing the 'elements' key$"):
+        cli._read_sequence(str(path))
 
 
 # -- fold / unfold / directions ---------------------------------------------------
@@ -424,7 +500,7 @@ def test_a_box_with_one_cell_moved_at_the_cell_cap_is_read_in_bounded_memory():
 def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     # a box written as text and any other shape through json.dumps
     bose5 = sidon2d.construct_bose(5)
-    sequence = json.dumps(sidon2d.sequence_to_json(bose5))
+    sequence = '{"modulus": 24, "elements": [1, 10, 14, 15, 17]}'
     moved = [[-1, 1] if cell == (7, 0) else list(cell) for cell in sorted(Shape.rectangle(8, 3).points)]
     for option, shape in [(None, None), ("8x3", Shape.rectangle(8, 3)), (json.dumps(moved), Shape(moved))]:
         argv = ["fold", "--lattice", "8,2;0,3", "--direction", "1,0"]

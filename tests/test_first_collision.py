@@ -2,7 +2,7 @@
 
 Each oracle below is an explicit dictionary scan over the pairs in
 lexicographic order, the form each check had before they shared one
-scan; the checks must name the same first witness.
+row kernel; the checks must name the same first witness.
 """
 
 from itertools import combinations, combinations_with_replacement, product
@@ -17,14 +17,16 @@ from sidon2d import (
     Lattice,
     PeriodicDdc,
     SidonSequence,
+    construct_welch,
     fundamental_shape,
     is_ddc,
     is_doubly_periodic_ddc,
+    verify_sidon,
     verify_sidon_sums,
     verify_weak_sidon,
 )
-from sidon2d import ddc as ddc_module
-from sidon2d.groups import first_difference_collision, sums_distinct
+from sidon2d import groups
+from sidon2d.groups import first_repeat
 
 # -- oracles ------------------------------------------------------------------
 
@@ -126,6 +128,32 @@ def patterns(draw):
     return pattern
 
 
+def planted_late(values, plant):
+    """The values with plant(x, y, z) added for the last three of them:
+    x - y = w - z for w = x - y + z, which the rows reach only after the
+    rows of every value before z."""
+    z, y, x = values[-3:]
+    return values + [plant(x, y, z)]
+
+
+def _late_sequence(modulus, count):
+    # powers of 3 are Sidon while twice the largest stays below the modulus
+    return SidonSequence.from_ints(modulus, planted_late([3**i for i in range(count)], lambda x, y, z: x - y + z))
+
+
+def _late_dots(count, y_of):
+    dots = [(3**i, y_of(i)) for i in range(count)]
+    return planted_late(dots, lambda x, y, z: (x[0] - y[0] + z[0], x[1] - y[1] + z[1]))
+
+
+def _late_pattern(pattern):
+    """The pattern with x - y + z, reduced onto the shape, added for its
+    last three dots: a periodic DDC gains exactly one new dot."""
+    z, y, x = sorted(pattern.dots)[-3:]
+    w = pattern.tiling.representative((x[0] - y[0] + z[0], x[1] - y[1] + z[1]))
+    return PeriodicDdc(pattern.lattice, pattern.shape, pattern.dots | {w})
+
+
 # -- agreement ----------------------------------------------------------------
 
 
@@ -133,9 +161,13 @@ def patterns(draw):
 @example(SidonSequence.from_ints(6, [0, 1, 3]))
 @example(SidonSequence.from_ints(8, [0, 1, 2, 3]))
 @example(SidonSequence.from_ints(1, [0]))
+@example(_late_sequence(10**18, 37))  # the set
+@example(_late_sequence(2**64 + 13, 40))  # lanes of two words
+@example(SidonSequence.from_ints(10**18, [0, 5 * 10**17]))  # 2-torsion in the set
+@example(SidonSequence(GroupSpec((1023,) + (2,) * 11), [(0,) * 12, (1,) + (0,) * 11, (0,) * 11 + (1,)]))  # bits
 @settings(max_examples=300, deadline=None)
 def test_sequence_scans_match_their_oracles(seq):
-    assert first_difference_collision(seq.elements, seq.group.sub) == oracle_difference_collision(seq)
+    assert verify_sidon(seq) == oracle_difference_collision(seq)
     assert verify_sidon_sums(seq) == oracle_sum_collision(seq, combinations_with_replacement)
     assert verify_weak_sidon(seq) == oracle_sum_collision(seq, combinations)
 
@@ -150,13 +182,15 @@ def _box_pattern(basis, dots):
 @example(_box_pattern(((4, 0), (0, 6)), [(0, 0), (0, 1), (1, 3), (3, 2)]))  # Z_2 x Z_12
 @example(_box_pattern(((3, 1), (0, 5)), [(0, 0), (0, 1), (1, 3)]))  # Z_15
 @example(_box_pattern(((12, 5), (0, 12)), [(0, 0), (0, 1), (1, 3)]))  # Z_144, lanes
+@example(_late_pattern(construct_welch(31)))  # Z_930
+@example(_late_pattern(_box_pattern(((2, 0), (0, 2)), [(0, 0), (0, 1), (1, 0)])))  # bits, 2-torsion
 @settings(max_examples=300, deadline=None)
 def test_pattern_scans_match_their_oracles(pattern):
     oracle = oracle_is_doubly_periodic_ddc(pattern)
     assert is_doubly_periodic_ddc(pattern) == oracle
     lattice = pattern.lattice
     images = [lattice.phi(p) for p in sorted(pattern.dots)]
-    assert sums_distinct(lattice.moduli, images) == (oracle is None)
+    assert (first_repeat(lattice.moduli, images) is None) == (oracle is None)
     assert is_ddc(pattern.dots) == oracle_is_ddc(pattern.dots)
 
 
@@ -170,12 +204,28 @@ def test_pattern_scans_match_their_oracles(pattern):
 @example([(-3, -3), (-2, -1), (-1, 1), (-3, 0)])
 @example([(0, 0), (2**64, 1), (2**65 + 1, 3), (-(2**64), 2**70)])  # spans over 2^64
 @example([(0, -(2**66)), (2**64, 0), (2**65, 2**66)])
+@example(_late_dots(30, lambda i: i))  # the set
+@example(_late_dots(45, lambda i: 3**i))  # spans near 2^70: lanes of three words
 @settings(max_examples=300, deadline=None)
 def test_plain_ddc_scan_matches_its_oracle(dots):
     oracle = oracle_is_ddc(dots)
     if oracle is not None:
         assert is_ddc(dots) == oracle
         return
-    # a DDC is accepted by the row kernel alone, without the ordered scan
-    with mock.patch.object(ddc_module, "first_difference_collision", side_effect=AssertionError):
+    # a DDC is accepted by the rows of sums alone: the kernel makes one
+    # table or set for them, and a second for differences only on a repeat
+    made = []
+
+    class Table(bytearray):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    class Seen(set):
+        def __init__(self, *args):
+            made.append(self)
+            super().__init__(*args)
+
+    with mock.patch.multiple(groups, bytearray=Table, set=Seen, create=True):
         assert is_ddc(dots) is None
+    assert len(made) == (len(set(dots)) > 1)

@@ -10,16 +10,16 @@ from sidon2d import (
     GroupSpec,
     SidonSequence,
     crt_flatten,
-    sequence_from_json,
-    sequence_to_json,
     sidon_upper_bound,
     verify_sidon,
     verify_sidon_sums,
     verify_weak_sidon,
 )
 from sidon2d import groups
-from sidon2d.groups import Collision, first_difference_collision, sums_distinct
+from sidon2d.groups import Collision, first_repeat
 from sidon2d.sidon import construct_power_pairs
+
+from collision_oracle import first_difference_collision
 
 
 def test_group_spec_basics():
@@ -29,7 +29,7 @@ def test_group_spec_basics():
     assert g.identity() == (0, 0)
     assert g.add((5, 6), (1, 1)) == (0, 0)
     assert g.sub((0, 0), (1, 3)) == (5, 4)
-    assert g.normalize((-1, 10)) == (5, 3)
+    assert SidonSequence(g, [(-1, 10)]).elements == ((5, 3),)
     assert len(list(g.elements())) == 42
 
 
@@ -202,6 +202,24 @@ PLANTED_16 = POWER_PAIRS_16 + [(1, 0, 0, 1, 1)]
 _G2048 = GroupSpec((2047,) + (2,) * 11)
 PLANTED_2048 = list(construct_power_pairs(2048).elements)
 PLANTED_2048.append(_G2048.add(_G2048.sub(*PLANTED_2048[:2]), PLANTED_2048[2]))
+
+
+def planted_late(group, base):
+    """An increasing Sidon list with w = x - y + z planted for its last
+    three elements z < y < x: w falls between y and x, and the first
+    repeated difference is y - x = z - w, on the row of y, third from
+    last, after every earlier row."""
+    z, y, x = base[-3:]
+    return group, base + [group.add(group.sub(x, y), z)]
+
+
+# late collisions in the set (10^18), in a lane of two words (2^64 + 13),
+# and behind trailing factors Z_2 in a group over the table order
+LATE = [
+    planted_late(GroupSpec((10**18,)), [(3**i,) for i in range(37)]),
+    planted_late(GroupSpec((2**64 + 13,)), [(3**i,) for i in range(40)]),
+    planted_late(GroupSpec((2**40,) + (2,) * 20), [(3**i, *(int(j == i % 20) for j in range(20))) for i in range(25)]),
+]
 # groups with factors Z_2, which are added as bits when they come last:
 # alone, before a trailing Z_1 (so not bits), before and after another
 # cycle, behind a leading Z_2 that keeps its flagged slot, in the power
@@ -255,6 +273,11 @@ def bit_layouts(test):
 @example((GroupSpec((1023, 2, 2, 2)), [(0, 0, 0, 0), (1022, 1, 0, 1), (1, 1, 1, 0), (1022, 0, 1, 1)]))
 @example((GroupSpec((2, 2)), [(0, 0), (0, 1)]))  # e1 = -e1: of the sums only 0 + 0 = e1 + e1
 @example((GroupSpec((4,)), [(0,), (2,)]))
+@example((GroupSpec((10**18,)), [(0,), (5 * 10**17,)]))  # 2-torsion in the set
+@example((GroupSpec((1023,) + (2,) * 11), [(0,) * 12, (0,) * 11 + (1,)]))  # and in the bits
+@example(LATE[0])
+@example(LATE[1])
+@example(LATE[2])
 @example((GroupSpec((7,)), [(0,), (1,), (3,)]))  # n(n - 1) = |G| - 1
 @example((GroupSpec((15, 2, 2, 2, 2)), POWER_PAIRS_16))
 @example((GroupSpec((15, 2, 2, 2, 2)), PLANTED_16))
@@ -265,8 +288,8 @@ def test_verify_sidon_equals_the_ordered_scan(case):
     s = SidonSequence(group, subset)
     scan = first_difference_collision(s.elements, group.sub)
     assert verify_sidon(s) == scan
-    # verify_sidon falls back to the scan, so check the fast path alone too
-    assert sums_distinct(group.moduli, s.elements) == (scan is None)
+    # the kernel's decision alone, before its pairs are named
+    assert (first_repeat(group.moduli, s.elements) is None) == (scan is None)
 
 
 @given(planted_subsets())
@@ -289,7 +312,7 @@ def test_verify_weak_sidon_equals_the_pair_scan(case):
             break
         seen[key] = (a, b)
     assert verify_weak_sidon(s) == scan
-    assert sums_distinct(group.moduli, s.elements, skip=1) == (scan is None)
+    assert (first_repeat(group.moduli, s.elements, skip=1) is None) == (scan is None)
 
 
 def test_lanes_form_one_key_per_sum(monkeypatch):
@@ -305,7 +328,7 @@ def test_lanes_form_one_key_per_sum(monkeypatch):
             super().__setitem__(key, value)
 
     monkeypatch.setattr(groups, "bytearray", CountingTable, raising=False)
-    assert verify_sidon(s) is None
+    assert first_repeat(s.group.moduli, s.elements) is None
     monkeypatch.undo()
     n = len(s)
     assert n == 31
@@ -415,25 +438,3 @@ def test_crt_flatten_preserves_sidon():
 def test_crt_flatten_of_flat_sequence_is_identity():
     s = SidonSequence.from_ints(7, [0, 1, 3])
     assert crt_flatten(s) == s
-
-
-# -- serialisation ------------------------------------------------------------
-
-
-def test_sequence_json_rank_one():
-    s = SidonSequence.from_ints(42, [0, 8, 10])
-    data = sequence_to_json(s)
-    assert data == {"modulus": 42, "elements": [0, 8, 10]}
-    assert sequence_from_json(data) == s
-
-
-def test_sequence_json_multi_rank():
-    s = SidonSequence(GroupSpec((6, 7)), [(0, 0), (1, 3)])
-    data = sequence_to_json(s)
-    assert data == {"moduli": [6, 7], "elements": [[0, 0], [1, 3]]}
-    assert sequence_from_json(data) == s
-
-
-def test_sequence_json_rejects_garbage():
-    with pytest.raises(ValueError):
-        sequence_from_json({"elements": [0, 1]})

@@ -23,9 +23,10 @@ from sidon2d import (
 )
 from sidon2d import groups
 from sidon2d.folding import folded_cells, folding_directions
-from sidon2d.groups import Collision, first_difference_collision
+from sidon2d.groups import Collision
 from sidon2d.lattices import Tiling
 
+from collision_oracle import first_difference_collision
 from folding_oracle import folded_row
 from render_oracle import render_cells
 
@@ -126,27 +127,35 @@ def test_periodic_ddc_check_matches_the_ordered_scan(pattern):
 def test_a_dense_pattern_stops_within_two_rows_of_differences(monkeypatch):
     # every cell a dot: the first row of sums marks all n elements of
     # Z_300 x Z_300 in the check's table, so the first sum of the second
-    # row is already marked, and the check reads n + 1 cells and marks n
-    # of the n(n + 1)/2 sums before its ordered scan
+    # row is already marked, and the decision reads n + 1 cells and marks
+    # n of the n(n + 1)/2 sums; the pass over differences that names the
+    # witness marks in a table of its own, under the same pigeonhole
     shape = Shape.rectangle(300, 300)
     pattern = PeriodicDdc(Lattice(((300, 0), (0, 300))), shape, shape.points)
-    read, marked = [], []
+    tables = []
 
     class CountingTable(bytearray):
+        def __init__(self, size):
+            self.read, self.marked = [], []
+            tables.append(self)
+            super().__init__(size)
+
         def __getitem__(self, key):
-            read.append(key)
+            self.read.append(key)
             return super().__getitem__(key)
 
         def __setitem__(self, key, value):
-            marked.append(key)
+            self.marked.append(key)
             super().__setitem__(key, value)
 
     monkeypatch.setattr(groups, "bytearray", CountingTable, raising=False)
     collision = is_doubly_periodic_ddc(pattern)
     monkeypatch.undo()
     dots = sorted(shape.points)
-    assert (len(read), len(marked)) == (len(dots) + 1, len(dots))
-    assert sorted(marked) == list(range(len(dots)))
+    decision, witness = tables
+    assert (len(decision.read), len(decision.marked)) == (len(dots) + 1, len(dots))
+    assert sorted(decision.marked) == list(range(len(dots)))
+    assert len(witness.read) <= len(dots) + 1 and len(witness.marked) <= len(dots)
     assert collision == first_difference_collision(
         dots, lambda a, b: pattern.tiling.representative((a[0] - b[0], a[1] - b[1]))
     )
