@@ -184,7 +184,7 @@ def first_repeat(moduli: tuple[int, ...], elements: Sequence[Element], skip: int
       other, and equality is all a test of distinctness asks of it.  A
       row adds all its keys exactly when none has repeated, which is
       counted after every row (pigeonhole); the repeat is then the first
-      of the row's keys that the earlier rows, built again, share.
+      of the row's keys that an earlier row, built again, shares.
 
     No row holds a key twice, so the earlier pair is in the one earlier
     row that holds the key.
@@ -250,18 +250,20 @@ def first_repeat(moduli: tuple[int, ...], elements: Sequence[Element], skip: int
         return memoryview(row.to_bytes(size, sys.byteorder)).cast("Q")[::step]
 
     def first_repeated_key(diff: bool) -> tuple | None:
+        # (earlier row, later row, key) of the first repeat, or None
         seen = set() if big else bytearray(order)
         for i in range(n if diff else n - skip):
             if big:  # rows 0 to i hold (i + 1)(n - 1) differences or their sums
                 seen.update(row(i, diff))
                 if len(seen) != (i + 1) * (2 * n - 2 if diff else 2 * (n - skip) - i) // 2:
-                    later = set(row(i, diff))  # the repeat: its first key that earlier rows share
-                    shared = set().union(*(later.intersection(row(r, diff)) for r in range(i)))
-                    return i, next(key for key in row(i, diff) if key in shared)
+                    later = set(row(i, diff))  # the repeat: its first key that an earlier row shares
+                    owner = {key: r for r in range(i) for key in later.intersection(row(r, diff))}
+                    key = next(key for key in row(i, diff) if key in owner)
+                    return owner[key], i, key
                 continue
             for key in row(i, diff):
                 if seen[key]:
-                    return i, key
+                    return next(r for r in range(i) if key in row(r, diff)), i, key
                 seen[key] = 1
         return None
 
@@ -274,9 +276,8 @@ def first_repeat(moduli: tuple[int, ...], elements: Sequence[Element], skip: int
         repeat = first_repeated_key(diff)
         if repeat is None:
             return None
-    last, key = repeat
-    i = next(i for i in range(last) if key in row(i, diff))  # no row holds a key twice
-    return (i, element(i, key)), (last, element(last, key))
+    first, last, key = repeat
+    return (first, element(first, key)), (last, element(last, key))
 
 
 def verify_sidon_sums(seq: SidonSequence) -> Collision | None:

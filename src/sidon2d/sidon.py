@@ -9,7 +9,7 @@ by backtracking and grade a sequence against them.
 
 from __future__ import annotations
 
-import itertools
+from itertools import compress, count, product
 
 from .fields import Field, check_order, make_field
 from .groups import (
@@ -76,27 +76,26 @@ def _subfield(field: Field, order: int) -> list[int]:
     return [0] + [field.exp_table[step * j] for j in range(order - 1)]
 
 
+def _line_logs(field: Field, q: int) -> list[int]:
+    """The logs of beta + c over c in GF(q), beta the generator, in
+    increasing order: one pass over the exp table finds the line's codes."""
+    line = {field.add(field.generator, c) for c in _subfield(field, q)}
+    return list(compress(count(), map(line.__contains__, field.exp_table)))
+
+
 def construct_bose(q: int) -> SidonSequence:
     """q elements over Z_{q^2-1}: logs of the line beta + GF(q) in GF(q^2)."""
     field = _field_for(q, "Bose construction", degree=2)
-    beta = field.generator
-    values = [field.log(field.add(beta, c)) for c in _subfield(field, q)]
-    return SidonSequence.from_ints(q * q - 1, values)
+    return SidonSequence.from_ints(q * q - 1, _line_logs(field, q))
 
 
 def construct_singer(q: int) -> SidonSequence:
     """q+1 elements over Z_{q^2+q+1}: logs of the projective line
-    spanned by {1, beta} in GF(q^3).  A perfect difference set."""
+    spanned by {1, beta} in GF(q^3).  A perfect difference set.  Its points
+    are 1 and c + beta, c in GF(q), up to factors in GF(q)*: logs 0 mod n."""
     field = _field_for(q, "Singer construction", degree=3)
-    beta = field.generator
     n = q * q + q + 1
-    subfield = _subfield(field, q)
-    values = {
-        field.log(field.add(c, field.mul(d, beta))) % n
-        for c, d in itertools.product(subfield, repeat=2)
-        if (c, d) != (0, 0)
-    }
-    return SidonSequence.from_ints(n, sorted(values))
+    return SidonSequence.from_ints(n, {0} | {i % n for i in _line_logs(field, q)})
 
 
 SEARCH_CAP = 60
@@ -124,7 +123,7 @@ def abelian_group_specs(n: int) -> list[GroupSpec]:
     for p, e in sorted(factorize(n).items()):
         per_prime.append([tuple(p**part for part in parts) for parts in partitions(e)])
     specs = []
-    for combo in itertools.product(*per_prime):
+    for combo in product(*per_prime):
         moduli = tuple(sorted(m for factor in combo for m in factor))
         specs.append(GroupSpec(moduli))
     return specs

@@ -405,6 +405,27 @@ def test_the_welch_chain_never_builds_box_cells(monkeypatch, capsys):
     assert run(["unfold", "--direction", "1,1"], folded) == sequence
 
 
+def test_the_line_families_at_their_largest_fields_build_in_bounded_memory():
+    """Bose q = 1024 lives in GF(2^20) and Singer q = 101 in GF(101^3),
+    each of about 2^20 elements.  With the exp table at 4 bytes an entry,
+    no log table and the line's logs read off by marking, both fit under
+    a 64 MB address-space limit where the platform has one; two lists of
+    Python ints, one entry per element, took about 90 MB."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (64 << 20, 64 << 20))
+
+    for family, q in (("bose", "1024"), ("singer", "101")):
+        argv = ["construct", "--family", family, "--q", q]
+        proc = subprocess.run(CLI + argv, capture_output=True, text=True, env=ENV, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(*argv).stdout
+
+
 def test_a_pattern_at_the_cell_cap_is_read_in_bounded_memory():
     """The Bose q = 1024 sequence folded onto 1023,0;0,1025 is a box
     pattern of 2^20 - 1 cells in 12 MB of JSON.  Read as the CLI wrote

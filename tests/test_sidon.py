@@ -20,7 +20,10 @@ from sidon2d import (
     sidon_upper_bound,
     verify_sidon,
 )
+from sidon2d.numtheory import prime_power
 from sidon2d.sidon import _subfield
+
+from line_oracle import bose_by_logs, singer_by_logs
 
 PRIME_POWERS = [3, 4, 5, 7, 8, 9, 11, 13, 16]
 PRIMES = [3, 5, 7, 11, 13]
@@ -135,6 +138,24 @@ def test_singer_is_a_perfect_difference_set(q):
     vals = s.as_ints()
     diffs = [(a - b) % n for a in vals for b in vals if a != b]
     assert sorted(diffs) == list(range(1, n))  # every residue exactly once
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if prime_power(q)])
+def test_bose_by_marking_matches_the_log_oracle(q):
+    assert construct_bose(q) == bose_by_logs(q)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 17) if prime_power(q)])
+def test_singer_by_marking_matches_the_log_oracle(q):
+    assert construct_singer(q) == singer_by_logs(q)
+
+
+def test_the_line_families_build_no_log_table():
+    # the logs of the line are read off the exp table
+    make_field.cache_clear()  # no other test's logs
+    construct_bose(32), construct_singer(9)
+    assert "log_table" not in vars(make_field(2, 10))
+    assert "log_table" not in vars(make_field(3, 6))
 
 
 def test_subfield_elements_and_rejection():
