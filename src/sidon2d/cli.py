@@ -8,6 +8,7 @@ error, 2 verified property violation (the witness is printed as JSON).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import re
 import sys
@@ -42,7 +43,7 @@ from .sidon import (
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Iterator
+    from collections.abc import Callable, Iterable, Iterator
     from typing import NoReturn
 
 SEQUENCE_FAMILIES = ("bose", "singer", "ruzsa", "power-pairs")
@@ -57,11 +58,11 @@ WITNESSES = {
 }
 # A pair of ints as _emit_pattern writes it.  They follow JSON's grammar
 # in ASCII digits, so none of them reads differently from json.loads.
-# The patterns are compiled on first use, not by every command's import.
-_CELL = r"\[(-?(?:0|[1-9][0-9]*)), (-?(?:0|[1-9][0-9]*))\]"
+# The byte patterns are compiled on first use, not by every command's import.
+_CELL = rb"\[(-?(?:0|[1-9][0-9]*)), (-?(?:0|[1-9][0-9]*))\]"
 # the text _emit_pattern writes, up to the first shape cell
-_PATTERN_HEAD = rf'\{{"lattice": \[{_CELL}, {_CELL}\], "shape": (\[){_CELL}'
-_SHAPE_END = ']], "dots": '
+_PATTERN_HEAD = rb'\{"lattice": \[' + _CELL + b", " + _CELL + rb'\], "shape": (\[)' + _CELL
+_SHAPE_END = b']], "dots": '
 _DECODE = json.JSONDecoder().raw_decode
 
 
@@ -106,15 +107,21 @@ def _parse_shape(text: str | None, lattice: Lattice) -> Shape:
         raise ValueError(f"malformed shape: expected 'WxH' or a JSON point list, got {text!r}")
 
 
-def _read_text(path: str | None) -> str:
+def _read_input(path: str | None, read=lambda stream: stream.read()):
+    """read(stream) of stdin, or of the file at path: its text by default."""
     if path is None or path == "-":
-        return sys.stdin.read()
+        return read(sys.stdin)
     with open(path) as fh:
-        return fh.read()
+        return read(fh)
+
+
+def _read_bytes(stream) -> tuple[bytes, Callable[[bytes], str]]:
+    """The stream's bytes and its decoding: encoding, errors, universal newlines."""
+    return stream.buffer.read(), lambda raw: io.TextIOWrapper(io.BytesIO(raw), stream.encoding, stream.errors).read()
 
 
 def _read_json(path: str | None) -> dict:
-    return _parse_json(_read_text(path))
+    return _parse_json(_read_input(path))
 
 
 def _parse_json(text: str) -> dict:
@@ -141,13 +148,16 @@ def _read_sequence(path: str | None) -> SidonSequence:
 
 
 def _read_pattern(path: str | None) -> PeriodicDdc:
-    """The pattern as _emit_pattern writes it, or a ValueError; without a
-    JSON object per shape cell when the text is what it writes for a box."""
-    text = _read_text(path)
-    pattern = _box_pattern(text)
+    """The pattern as _emit_pattern writes it, or a ValueError, from the
+    input's bytes read once: in place, with no JSON object per shape cell,
+    for a box; else decoded, the bytes dropped before json.loads."""
+    raw, decode = _read_input(path, _read_bytes)
+    pattern = _box_pattern(raw, decode)
     if pattern is None:
+        text = decode(raw)
+        del raw  # neither is held while the next is built
         data = _parse_json(text)
-        del text  # not held while the pattern is built
+        del text
         try:
             lattice, shape, dots = data["lattice"], data["shape"], data["dots"]
         except KeyError as missing:
@@ -156,19 +166,19 @@ def _read_pattern(path: str | None) -> PeriodicDdc:
     return pattern
 
 
-def _box_pattern(text: str) -> PeriodicDdc | None:
-    """The pattern when the text is exactly `{"lattice": [[a, b], [c, d]],
-    "shape": S, "dots": D}` and JSON whitespace, S being _shape_json of the
+def _box_pattern(raw: bytes, decode: Callable[[bytes], str]) -> PeriodicDdc | None:
+    """The pattern when the bytes are exactly `{"lattice": [[a, b], [c, d]],
+    "shape": S, "dots": D}` and JSON whitespace, S being _box_columns of the
     box from its first to its last cell, within the cell cap, and D any
-    JSON that json.loads reads; else None, for the full path to read.
-    Only D is decoded, and the pattern is built as the full path builds
-    it, so that it raises the same first error."""
-    head = re.match(_PATTERN_HEAD, text)
+    JSON that json.loads reads; else None, for the full path to read.  S
+    is compared in place and only D decoded, and the pattern is built as
+    the full path builds it, so that it raises the same first error."""
+    head = re.match(_PATTERN_HEAD, raw)
     if head is None:
         return None
     start = head.start(5)
-    cut = text.find(_SHAPE_END, head.end() - 1)  # the shape ends at cut + 2
-    last = None if cut < 0 else re.compile(_CELL).fullmatch(text, text.rfind("[", start, cut), cut + 1)
+    cut = raw.find(_SHAPE_END, head.end() - 1)  # the shape ends at cut + 2
+    last = None if cut < 0 else re.compile(_CELL).fullmatch(raw, raw.rfind(b"[", start, cut), cut + 1)
     if last is None:
         return None
     try:  # int() refuses ints of over 4300 digits, as json.loads does
@@ -180,49 +190,52 @@ def _box_pattern(text: str) -> PeriodicDdc | None:
     if not (width > 0 < height and width * height <= MAX_RECTANGLE_CELLS):
         return None
     at = start  # compared a column at a time, so no copy of S is made
-    for column in _box_columns(x0, y0, x1, y1):
-        if not text.startswith(column, at):
+    for column in map(str.encode, _box_columns(x0, y0, x1, y1)):
+        if not raw.startswith(column, at):
             return None
         at += len(column)
-    if at != cut + 1:  # the columns end at the shape's closing "]"
+    if at != cut + 2:  # the columns end where the shape does
         return None
-    try:
-        dots, end = _DECODE(text, cut + len(_SHAPE_END))
+    try:  # from the shape's end, left to the full path where the decoding reads it as other text
+        tail = decode(raw[cut:])  # a byte the decoding refuses is a ValueError too
+        dots, end = _DECODE(tail, len(_SHAPE_END))
     except (ValueError, RecursionError):
         return None
-    if text[end:].rstrip(" \t\n\r") != "}":
+    if not tail.startswith(_SHAPE_END.decode()) or tail[end:].rstrip(" \t\n\r") != "}":
         return None
-    lattice = Lattice([[a, b], [c, d]])
-    return PeriodicDdc(lattice, Shape._of_box((x0, y0, x1, y1)), dots)
+    return PeriodicDdc(Lattice([[a, b], [c, d]]), Shape._of_box((x0, y0, x1, y1)), dots)
 
 
 def _emit(obj: dict) -> None:
     print(json.dumps(obj))
 
 
-def _shape_json(shape: Shape) -> str:
-    """json.dumps of the cells in sorted order; a full box is sorted
+def _shape_pieces(shape: Shape) -> Iterable[str]:
+    """json.dumps of the cells in sorted order, in pieces; a full box is sorted
     already when listed x-major, so it is written with no list per cell."""
     x0, y0, x1, y1 = shape.bounds()
     if shape.size != (x1 - x0 + 1) * (y1 - y0 + 1):
-        return json.dumps(sorted(shape.points))
-    return "".join(_box_columns(x0, y0, x1, y1)) + "]"
+        return [json.dumps(sorted(shape.points))]
+    return _box_columns(x0, y0, x1, y1)
 
 
 def _box_columns(x0: int, y0: int, x1: int, y1: int) -> Iterator[str]:
-    """The text of the box [x0, x1] x [y0, y1] without its closing "]",
-    one column of cells at a time, each after the "[" or ", " before it."""
+    """The text of the box [x0, x1] x [y0, y1], one column of cells at a
+    time, each after the "[" or ", " before it; the last ends the list."""
     ys = [str(y) for y in range(y0, y1 + 1)]
     for x in range(x0, x1 + 1):
-        yield ("[" if x == x0 else ", ") + f"[{x}, " + f"], [{x}, ".join(ys) + "]"
+        yield ("[" if x == x0 else ", ") + f"[{x}, " + f"], [{x}, ".join(ys) + ("]]" if x == x1 else "]")
 
 
 def _emit_pattern(pattern: PeriodicDdc) -> None:
-    """The pattern as one JSON object of lattice rows, shape cells and
-    dots, cells sorted; the shape text is spliced in by _shape_json."""
+    """The pattern as one JSON object of lattice rows, shape cells and dots,
+    cells sorted, written a _shape_pieces piece at a time after all that can raise."""
     lattice = json.dumps(pattern.lattice.rows)
     dots = json.dumps(sorted(pattern.dots))
-    print(f'{{"lattice": {lattice}, "shape": {_shape_json(pattern.shape)}, "dots": {dots}}}')
+    shape = _shape_pieces(pattern.shape)
+    sys.stdout.write(f'{{"lattice": {lattice}, "shape": ')
+    sys.stdout.writelines(shape)
+    sys.stdout.write(f', "dots": {dots}}}\n')
 
 
 def _emit_sequence(seq: SidonSequence, report: bool = False) -> None:
@@ -333,7 +346,9 @@ def _cmd_directions(args: argparse.Namespace) -> int:
     else:
         tiling = _read_pattern(args.input).tiling
     dirs = folding_directions(tiling)
-    _emit({"count": len(dirs), "directions": dirs})
+    sys.stdout.write(f'{{"count": {len(dirs)}, "directions": [')  # json.dumps, a slice at a time
+    sys.stdout.writelines(", " * (i > 0) + json.dumps(dirs[i:i + 4096])[1:-1] for i in range(0, len(dirs), 4096))
+    sys.stdout.write("]}\n")
     return 0
 
 

@@ -1,7 +1,6 @@
 """End-to-end command line checks, run through subprocess, and
 in-process where a test counts or forbids library calls."""
 
-import io
 import json
 import os
 import random
@@ -14,6 +13,8 @@ import pytest
 
 import sidon2d
 from sidon2d import GroupSpec, Lattice, Shape, SidonSequence, Tiling, cli, construct_welch, fold_sidon_to_ddc
+
+from byte_stdin import byte_stdin
 
 CLI = [sys.executable, "-m", "sidon2d"]
 # The children run the package these tests import, whether it is
@@ -368,7 +369,7 @@ def test_fold_builds_one_tiling(monkeypatch, capsys):
 
     monkeypatch.setattr(Tiling, "__init__", counted_init)
     sequence = '{"modulus": 42, "elements": [0, 8, 10, 11, 33, 37]}'
-    monkeypatch.setattr(sys, "stdin", io.StringIO(sequence))
+    monkeypatch.setattr(sys, "stdin", byte_stdin(sequence))
     assert cli.main(["fold", "--lattice", "6,0;0,7", "--direction", "1,1"]) == 0
     dots = json.loads(capsys.readouterr().out)["dots"]
     assert dots == [[0, 0], [1, 2], [2, 1], [3, 5], [4, 3], [5, 4]]  # t at (t mod 6, t mod 7)
@@ -389,7 +390,7 @@ def test_the_welch_chain_never_builds_box_cells(monkeypatch, capsys):
     monkeypatch.setattr(Shape, "points", property(guarded))
 
     def run(argv, stdin=""):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", byte_stdin(stdin))
         code = cli.main(argv)
         out, err = capsys.readouterr()
         assert (code, err) == (0, "")
@@ -456,6 +457,35 @@ def test_a_pattern_at_the_cell_cap_is_read_in_bounded_memory():
     assert any(sorted((e - s) % m for e in elements) == outputs[1]["elements"] for s in elements)
 
 
+def test_a_pattern_at_the_cell_cap_is_written_and_read_as_bytes_in_bounded_memory():
+    """The same 2^20 - 1 cell box pattern.  `fold` writes its shape a
+    column at a time, and the readers keep the input as bytes only, so
+    writing, checking, unfolding and rendering it each fit under a 37 MB
+    address-space limit where the platform has one (20 MB for `fold` and
+    32 MB for the others, found by bisection on a 2-vCPU Xeon); holding
+    the 12 MB of text whole, as a str beside its bytes, took 42 MB."""
+    try:
+        import resource
+    except ImportError:  # no rlimits: the output is still checked
+        limit = None
+    else:
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (37 << 20, 37 << 20))
+
+    sequence = run_cli("construct", "--family", "bose", "--q", "1024").stdout
+    fold = ["fold", "--lattice", "1023,0;0,1025", "--direction", "1,1"]
+    pattern = run_cli(*fold, stdin=sequence).stdout
+    for argv, stdin in [
+        (fold, sequence),
+        (["verify", "--kind", "periodic-ddc"], pattern),
+        (["unfold", "--direction", "1,1"], pattern),
+        (["render"], pattern),
+    ]:
+        proc = subprocess.run(CLI + argv, input=stdin, capture_output=True, text=True, env=ENV, preexec_fn=limit)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == run_cli(*argv, stdin=stdin).stdout
+
+
 def test_a_shifted_box_at_the_cell_cap_is_checked_in_bounded_memory():
     """The same box pattern moved by (-1, -1), so that its box is a
     translate of the fundamental rectangle [0, 1023) x [0, 1025), not the
@@ -475,7 +505,7 @@ def test_a_shifted_box_at_the_cell_cap_is_checked_in_bounded_memory():
     dots = json.loads(pattern[pattern.index('"dots": ') + 8 : pattern.rindex("}")])
     shifted = json.dumps([[x - 1, y - 1] for x, y in dots])
     del pattern
-    box = cli._shape_json(Shape._of_box((-1, -1, 1021, 1023)))
+    box = "".join(cli._shape_pieces(Shape._of_box((-1, -1, 1021, 1023))))
     text = f'{{"lattice": [[1023, 0], [0, 1025]], "shape": {box}, "dots": {shifted}}}'
     proc = subprocess.run(
         CLI + ["verify", "--kind", "periodic-ddc"], input=text, capture_output=True, text=True, env=ENV,
@@ -525,7 +555,7 @@ def test_pattern_output_is_the_json_of_the_pattern(capsys, monkeypatch):
     moved = [[-1, 1] if cell == (7, 0) else list(cell) for cell in sorted(Shape.rectangle(8, 3).points)]
     for option, shape in [(None, None), ("8x3", Shape.rectangle(8, 3)), (json.dumps(moved), Shape(moved))]:
         argv = ["fold", "--lattice", "8,2;0,3", "--direction", "1,0"]
-        monkeypatch.setattr(sys, "stdin", io.StringIO(sequence))
+        monkeypatch.setattr(sys, "stdin", byte_stdin(sequence))
         assert cli.main(argv + ([] if option is None else ["--shape", option])) == 0
         out = capsys.readouterr().out
         pattern = fold_sidon_to_ddc(bose5, Lattice(((8, 2), (0, 3))), shape, (1, 0))
@@ -547,6 +577,15 @@ def test_directions_from_a_pattern_on_stdin():
     built = run_cli("construct", "--family", "golomb", "--q", "4")
     proc = run_cli("directions", stdin=built.stdout)
     assert out_json(proc) == {"count": 0, "directions": []}  # 3x3 square
+
+
+@pytest.mark.parametrize("rows", ["3,0;0,3", "6,0;0,7", "101,0;0,103"])  # 0, 12 and 10,200 directions
+def test_directions_are_written_as_one_json_dumps(rows, capsys):
+    """The answer is written in slices, byte for byte the json.dumps of the whole."""
+    assert cli.main(["directions", "--lattice", rows]) == 0
+    lattice = Lattice([[int(v) for v in row.split(",")] for row in rows.split(";")])
+    dirs = sidon2d.folding_directions(Tiling(lattice, sidon2d.fundamental_shape(lattice)))
+    assert capsys.readouterr() == (json.dumps({"count": len(dirs), "directions": dirs}) + "\n", "")
 
 
 # -- search and render ---------------------------------------------------------------
@@ -578,10 +617,10 @@ def test_a_shape_of_far_apart_cells_is_not_rendered(monkeypatch, capsys):
     # two cells 10^9 apart tile with a lattice of volume 2, and verify
     # accepts the pattern; its bounding box is over the render cap
     stdin = '{"lattice": [[2, 0], [0, 1]], "shape": [[0, 0], [1000000001, 0]], "dots": [[0, 0]]}'
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", byte_stdin(stdin))
     assert cli.main(["verify", "--kind", "periodic-ddc"]) == 0
     assert capsys.readouterr() == ('{"ok": true}\n', "")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    monkeypatch.setattr(sys, "stdin", byte_stdin(stdin))
     start = time.perf_counter()
     assert cli.main(["render"]) == 1
     assert time.perf_counter() - start < 1.0
@@ -686,7 +725,7 @@ def test_a_rectangle_of_the_wrong_size_is_refused_before_it_is_built(command, mo
         raise AssertionError("the rectangle was built")
 
     monkeypatch.setattr(Shape, "rectangle", refuse)
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 2, "elements": [0]}'))
+    monkeypatch.setattr(sys, "stdin", byte_stdin('{"modulus": 2, "elements": [0]}'))
     assert cli.main([*command, "--lattice", "2,0;0,1", "--shape", "1000x1000"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -700,7 +739,7 @@ def test_a_mismatched_fold_builds_no_cell(monkeypatch, capsys):
         raise AssertionError("the rectangle was built")
 
     monkeypatch.setattr(Shape, "rectangle", refuse)
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 20, "elements": [0, 1, 3]}'))
+    monkeypatch.setattr(sys, "stdin", byte_stdin('{"modulus": 20, "elements": [0, 1, 3]}'))
     assert cli.main(["fold", "--lattice", "1000,0;0,1001", "--direction", "1,1"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -716,7 +755,7 @@ def test_a_mismatched_fold_builds_no_cell(monkeypatch, capsys):
     ],
 )
 def test_a_rectangle_over_the_cell_cap_is_refused_fast(argv, monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.StringIO('{"modulus": 1049600, "elements": [0]}'))
+    monkeypatch.setattr(sys, "stdin", byte_stdin('{"modulus": 1049600, "elements": [0]}'))
     start = time.perf_counter()
     assert cli.main(argv) == 1
     assert time.perf_counter() - start < 1.0
@@ -773,7 +812,7 @@ def test_a_value_with_a_leading_dash_reads_the_same_in_both_spellings(
 ):
     runs = []
     for spelling in (argv, argv[:-2] + [f"{argv[-2]}={argv[-1]}"]):
-        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        monkeypatch.setattr(sys, "stdin", byte_stdin(stdin))
         runs.append((cli.main(spelling), *capsys.readouterr()))
     assert runs[0] == runs[1]
     assert runs[0][0] == code

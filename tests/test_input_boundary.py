@@ -18,7 +18,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sidon2d import (
@@ -49,12 +49,14 @@ from sidon2d.folding import folded_cells, folded_positions
 from sidon2d.lattices import MAX_RECTANGLE_CELLS
 from sidon2d.numtheory import as_ints
 
+from byte_stdin import byte_stdin
+
 WELCH7 = Tiling(Lattice(((6, 0), (0, 7))), Shape.rectangle(6, 7))
 
 
-def run_main(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+def run_main(argv: list[str], stdin: str | bytes = "", encoding: str = "utf-8") -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+    with mock.patch.object(sys, "stdin", byte_stdin(stdin, encoding)):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
@@ -467,14 +469,14 @@ PATTERN_COMMANDS = [
 
 def full_path():
     """_read_pattern forced onto its full path."""
-    return mock.patch.object(cli, "_box_pattern", lambda text: None)
+    return mock.patch.object(cli, "_box_pattern", lambda raw, decode: None)
 
 
-def run_both(argv, stdin):
+def run_both(argv, stdin, encoding="utf-8"):
     """run_main with the reader as it is, and forced onto the full path."""
-    fast = run_main(argv, stdin)
+    fast = run_main(argv, stdin, encoding)
     with full_path():
-        return fast, run_main(argv, stdin)
+        return fast, run_main(argv, stdin, encoding)
 
 
 def cli_output(argv, stdin=""):
@@ -558,13 +560,70 @@ def pattern_texts(draw):
     return draw(st.sampled_from(PATTERN_COMMANDS)), draw(st.sampled_from(EDITS))(draw, text)
 
 
+def byte_edit(old, new, argv=PATTERN_COMMANDS[0]):
+    """The Welch p = 7 text as bytes, with its first `old` made `new`."""
+    data = CANONICAL[0].encode()
+    assert old in data
+    return argv, data.replace(old, new, 1)
+
+
+# edits that only a reader of bytes can get wrong
+BYTE_EDITS = [
+    byte_edit(b'"dots": [[0', b'"dots": [[\xff0'),  # not UTF-8, in the dots
+    byte_edit(b"[1, 3], [1, 4]", b"[1, 3], [1, \xff4]", PATTERN_COMMANDS[1]),  # and in the shape
+    byte_edit(b"[1, 3], [1, 4]", b"[1, 3],\r[1, 4]", PATTERN_COMMANDS[2]),
+    byte_edit(b"[1, 3], [1, 4]", b"[1, 3],\r\n[1, 4]", PATTERN_COMMANDS[3]),
+    byte_edit(b"]]}\n", b"]]}\r"),  # a lone CR after the dots
+    byte_edit(b"{", b"\xef\xbb\xbf{", PATTERN_COMMANDS[1]),  # a UTF-8 BOM
+    byte_edit(b'"dots": [[0, 1]', '"dots": [[0, １]'.encode(), PATTERN_COMMANDS[3]),  # a fullwidth digit
+]
+
+
 @settings(max_examples=300, deadline=None)
 @given(pattern_texts())
+@example(BYTE_EDITS[0])
+@example(BYTE_EDITS[1])
+@example(BYTE_EDITS[2])
+@example(BYTE_EDITS[3])
+@example(BYTE_EDITS[4])
+@example(BYTE_EDITS[5])
+@example(BYTE_EDITS[6])
 def test_the_pattern_reader_ends_every_command_as_the_full_path_does(case):
     argv, stdin = case
     fast, full = run_both(argv, stdin)
     assert fast == full
     assert_clean_exit(argv, *fast)
+
+
+def test_the_pattern_reader_ends_a_command_on_an_input_file_as_the_full_path_does(tmp_path):
+    path = tmp_path / "pattern.json"
+    for data in [CANONICAL[1].encode()] + [data for _, data in BYTE_EDITS]:
+        path.write_bytes(data)
+        for argv in PATTERN_COMMANDS:
+            fast, full = run_both(argv + ["--input", str(path)], "")
+            assert fast == full
+            assert_clean_exit(argv, *fast)
+    path.write_bytes(CANONICAL[1].encode())
+    for argv in PATTERN_COMMANDS:
+        assert run_main(argv + ["--input", str(path)]) == run_main(argv, CANONICAL[1])
+
+
+@pytest.mark.parametrize(
+    "encoding, dots",
+    [
+        ("utf-16-le", "[[0, 1]]}".encode("utf-16-le")),  # dots that are JSON only in the stream's encoding
+        ("utf-8-sig", b"\xef\xbb\xbf[[0, 1]]}"),  # a byte order mark, dropped only where a stream starts
+        ("cp037", "[[0, 1]]}".encode("cp037")),
+    ],
+    ids=["utf-16-le", "utf-8-sig", "cp037"],
+)
+def test_the_pattern_reader_decodes_the_dots_as_part_of_the_whole_stream(encoding, dots):
+    data = CANONICAL[0].encode()
+    data = data[: data.index(DOTS_KEY.encode()) + len(DOTS_KEY)] + dots
+    for argv in PATTERN_COMMANDS:
+        fast, full = run_both(argv, data, encoding)
+        assert fast == full
+        assert_clean_exit(argv, *fast)
 
 
 def box_text(x0, y0, x1, y1):
@@ -617,7 +676,7 @@ def test_the_written_layout_is_read_without_writing_its_shape_text(tmp_path):
     path = tmp_path / "pattern.json"
     for text in CANONICAL:
         path.write_text(text)
-        with mock.patch.object(cli, "_shape_json", side_effect=AssertionError("shape text written")):
+        with mock.patch.object(cli, "_shape_pieces", side_effect=AssertionError("shape text written")):
             pattern = cli._read_pattern(str(path))
         assert pattern.shape._box is not None  # read as a box
         with full_path():

@@ -116,8 +116,8 @@ def test_rectangle_and_bounds():
 
 
 def test_shape_json_round_trip():
-    assert cli._shape_json(TROMINO) == "[[0, 0], [0, 1], [1, 0]]"
-    assert Shape(json.loads(cli._shape_json(TROMINO))) == TROMINO
+    assert "".join(cli._shape_pieces(TROMINO)) == "[[0, 0], [0, 1], [1, 0]]"
+    assert Shape(json.loads("".join(cli._shape_pieces(TROMINO)))) == TROMINO
 
 
 # -- tilings ------------------------------------------------------------------
@@ -161,10 +161,10 @@ def test_a_shifted_box_reduces_into_its_own_cells():
 def test_rectangle_cells_and_json_order():
     box = Shape.rectangle(3, 2)
     assert box.points == {(x, y) for x in range(3) for y in range(2)}
-    assert cli._shape_json(box) == json.dumps(sorted(box.points))
+    assert "".join(cli._shape_pieces(box)) == json.dumps(sorted(box.points))
     shifted = Shape(frozenset((x, y) for x in (-1, 0) for y in (-2, -1, 0)))
-    assert cli._shape_json(shifted) == json.dumps(sorted(shifted.points))
-    assert cli._shape_json(TROMINO) == "[[0, 0], [0, 1], [1, 0]]"
+    assert "".join(cli._shape_pieces(shifted)) == json.dumps(sorted(shifted.points))
+    assert "".join(cli._shape_pieces(TROMINO)) == "[[0, 0], [0, 1], [1, 0]]"
 
 
 def test_fundamental_shape_always_tiles():
