@@ -137,6 +137,8 @@ def _parse_json(text: str) -> dict:
 def _read_sequence(path: str | None) -> SidonSequence:
     """The sequence as _emit_sequence writes it, or a ValueError."""
     data = _read_json(path)
+    if "modulus" in data and "moduli" in data:
+        raise ValueError("sequence JSON has both a 'modulus' and a 'moduli' key")
     try:
         if "modulus" in data:
             return SidonSequence.from_ints(data["modulus"], data["elements"])

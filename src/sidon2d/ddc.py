@@ -94,8 +94,7 @@ def construct_welch(p: int, alpha: int | None = None) -> PeriodicDdc:
     if not is_prime(p):
         raise ValueError(f"need a prime, got {p}")
     f = make_field(p)
-    alpha = f.primitive_or_generator(alpha, "alpha")
-    dots = frozenset((i, f.pow(alpha, i)) for i in range(p - 1))
+    dots = frozenset(enumerate(f.powers(alpha, "alpha")))
     return PeriodicDdc(
         Lattice(((p - 1, 0), (0, p))), shape, dots
     )
@@ -116,9 +115,9 @@ def construct_golomb(
     if pp is None or q < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     f = make_field(*pp)
-    alpha = f.primitive_or_generator(alpha, "alpha")
-    beta = f.primitive_or_generator(beta, "beta")
-    dots = frozenset((i, f.log(f.sub(1, f.pow(alpha, i)), beta)) for i in range(1, q - 1))
+    alphas = f.powers(alpha, "alpha")
+    log_beta = {b: j for j, b in enumerate(f.powers(beta, "beta"))}
+    dots = frozenset((i, log_beta[f.sub(1, a)]) for i, a in enumerate(alphas[1:], 1))
     return PeriodicDdc(
         Lattice(((q - 1, 0), (0, q - 1))), shape, dots
     )

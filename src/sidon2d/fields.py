@@ -2,9 +2,9 @@
 
 Elements are plain ints: the element with coefficient vector
 (c0, c1, ..., c_{k-1}) -- c0 the constant term -- is encoded as
-sum(ci * p**i).  Powers and discrete logs read an exp table built once
-per field and a log table built on first use, 4 bytes an entry, so
-construction costs O(q) and the arithmetic afterwards O(1) per operation.
+sum(ci * p**i).  The generator's powers are an exp table built once per
+field in O(q), 4 bytes an entry; a log table as wide is built on first
+use, only to check a given element's order or to raise it to a power.
 
 The reducing polynomial and the generator are chosen deterministically:
 the modulus is the first irreducible monic polynomial and the generator
@@ -29,7 +29,7 @@ import math
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 
-from .numtheory import Record, as_ints, factorize, is_prime, modinv, xgcd
+from .numtheory import Record, as_ints, factorize, is_prime, modinv
 
 # Table construction is O(q); keep q sane.  Every admitted order builds both
 # tables in under 1 s on a 2-vCPU Xeon VM with CPython 3.11, best of 5: the
@@ -283,38 +283,19 @@ class Field(Record):
         n = self.order - 1
         return self.exp_table[self.log_table[a] * e % n]
 
-    def log(self, x: int, base: int | None = None) -> int:
-        """Discrete log of x, to the field generator unless a base is given."""
-        self._check(x)
-        if x == 0:
-            raise ValueError("0 has no discrete logarithm")
-        lx = self.log_table[x]
-        if base is None:
-            return lx
-        self._check(base)
-        if base == 0:
-            raise ValueError("0 is not a valid logarithm base")
-        lb = self.log_table[base]
-        n = self.order - 1
-        # solve t * lb == lx (mod n)
-        g, _, _ = xgcd(lb, n)
-        if lx % g:
-            raise ValueError(f"{x} is not a power of {base}")
-        m = n // g
-        return lx // g * modinv(lb // g, m) % m
-
     # -- multiplicative structure -------------------------------------------
 
     def is_primitive(self, x: int) -> bool:
         return x != 0 and math.gcd(self.log_table[self._check(x)], self.order - 1) == 1
 
-    def primitive_or_generator(self, alpha: int | None, name: str) -> int:
-        """alpha, checked to be primitive; the generator when alpha is None."""
+    def powers(self, alpha: int | None, name: str) -> list[int]:
+        """alpha^0, ..., alpha^(q-2), alpha checked to be primitive; the
+        generator's powers, the exp table, when alpha is None."""
         if alpha is None:
-            return self.generator
+            return self.exp_table.tolist()
         if not self.is_primitive(alpha):
             raise ValueError(f"{name} = {alpha} is not primitive in GF({self.order})")
-        return alpha
+        return [self.pow(alpha, i) for i in range(self.order - 1)]
 
     def primitive_elements(self) -> list[int]:
         return [x for x in range(1, self.order) if self.is_primitive(x)]

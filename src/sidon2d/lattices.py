@@ -19,9 +19,9 @@ from .numtheory import Record, as_ints, at_most, xgcd
 Point = tuple[int, int]
 
 # The field order limit, so Bose q = 1024 fits; it bounds every shape.  Slowest at
-# the cap: a pattern whose shape is not a box, 303 MB cold for `directions` (4.7 s),
-# `verify --kind periodic-ddc` (3.4 s) and `unfold` (3.6 s).  On a box, `fold` of Bose
-# q = 1024 onto 1023,0;0,1025 takes 0.30-0.32 s, 38 MB (2-vCPU Xeon, Python 3.11).
+# the cap: a pattern whose shape is not a box, 301 MB cold for `directions` (5.0-5.2 s),
+# `verify --kind periodic-ddc` (3.3-3.9 s) and `unfold` (3.6-3.9 s).  On a box, `fold` of
+# Bose q = 1024 onto 1023,0;0,1025 takes 0.18-0.24 s, 14 MB (2-vCPU Xeon, Python 3.11).
 MAX_RECTANGLE_CELLS = 1 << 20
 
 

@@ -42,9 +42,8 @@ def construct_power_pairs(q: int, alpha: int | None = None) -> SidonSequence:
     if as_ints(q, "q") < 3:
         raise ValueError(f"need a prime power q >= 3, got {q}")
     field = _field_for(q, "power pair construction")
-    alpha = field.primitive_or_generator(alpha, "alpha")
     group = GroupSpec((q - 1,) + (field.p,) * field.k)
-    elements = [(i,) + field.coeffs(field.pow(alpha, i)) for i in range(q - 1)]
+    elements = [(i,) + field.coeffs(a) for i, a in enumerate(field.powers(alpha, "alpha"))]
     return SidonSequence(group, elements)
 
 
@@ -55,7 +54,6 @@ def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
     if p < 3 or not is_prime(p):
         raise ValueError(f"need a prime p >= 3, got {p}")
     field = make_field(p)
-    alpha = field.primitive_or_generator(alpha, "alpha")
     n = p * (p - 1)
     # interpolation weights: w1 == 1 mod p-1, 0 mod p; w2 the reverse
     g, u, v = xgcd(p - 1, p)
@@ -63,7 +61,7 @@ def construct_ruzsa(p: int, alpha: int | None = None) -> SidonSequence:
         raise RuntimeError(f"gcd({p - 1}, {p}) = {g}, not 1")
     w1 = v * p % n
     w2 = u * (p - 1) % n
-    values = [(i * w1 + field.pow(alpha, i) * w2) % n for i in range(p - 1)]
+    values = [(i * w1 + a * w2) % n for i, a in enumerate(field.powers(alpha, "alpha"))]
     return SidonSequence.from_ints(n, values)
 
 
@@ -72,8 +70,7 @@ def _subfield(field: Field, order: int) -> list[int]:
     n = field.order - 1
     if n % (order - 1):
         raise ValueError(f"GF({order}) is not a subfield of GF({field.order})")
-    step = n // (order - 1)
-    return [0] + [field.exp_table[step * j] for j in range(order - 1)]
+    return [0, *field.exp_table[:: n // (order - 1)]]
 
 
 def _line_logs(field: Field, q: int) -> list[int]:

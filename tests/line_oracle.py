@@ -26,7 +26,7 @@ def bose_by_logs(q: int) -> SidonSequence:
     """The logs of beta + c over c in GF(q), in GF(q^2), modulo q^2 - 1."""
     field, subfield = _field_and_subfield(q, 2)
     beta = field.generator
-    return SidonSequence.from_ints(q * q - 1, [field.log(field.add(beta, c)) for c in subfield])
+    return SidonSequence.from_ints(q * q - 1, [field.log_table[field.add(beta, c)] for c in subfield])
 
 
 def singer_by_logs(q: int) -> SidonSequence:
@@ -36,9 +36,9 @@ def singer_by_logs(q: int) -> SidonSequence:
     n = q * q + q + 1
     beta = field.generator
     # d * beta = beta^(log d + 1)
-    multiples = {d: field.pow(beta, field.log(d) + 1) if d else 0 for d in subfield}
+    multiples = {d: field.pow(beta, field.log_table[d] + 1) if d else 0 for d in subfield}
     values = {
-        field.log(field.add(c, multiples[d])) % n
+        field.log_table[field.add(c, multiples[d])] % n
         for c, d in itertools.product(subfield, repeat=2)
         if (c, d) != (0, 0)
     }

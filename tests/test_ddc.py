@@ -186,8 +186,8 @@ def test_golomb_with_two_different_primitive_elements():
 def golomb_dots_by_search(q, alpha=None, beta=None):
     """The reference: test every (i, j) for alpha^i + beta^j = 1."""
     f = make_field(*prime_power(q))
-    alpha = f.primitive_or_generator(alpha, "alpha")
-    beta = f.primitive_or_generator(beta, "beta")
+    alpha = alpha or f.generator
+    beta = beta or f.generator
     return frozenset(
         (i, j)
         for i, j in itertools.product(range(q - 1), repeat=2)

@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import pytest
 
@@ -43,7 +44,7 @@ def table_mul(field: Field, a: int, b: int) -> int:
     """The product by the field's tables: exp[log a + log b]."""
     if a == 0 or b == 0:
         return 0
-    return field.exp_table[(field.log(a) + field.log(b)) % (field.order - 1)]
+    return field.exp_table[(field.log_table[a] + field.log_table[b]) % (field.order - 1)]
 
 
 def oracle_tables(p: int, k: int, modulus) -> tuple[int, list[int], list]:
@@ -89,15 +90,15 @@ def test_gf7_tables():
     f = Field(7)
     assert f.generator == 3
     assert f.exp_table.tolist() == [1, 3, 2, 6, 4, 5]
-    assert f.log(6) == 3
-    assert f.log(1) == 0
+    assert f.log_table[6] == 3
+    assert f.log_table[1] == 0
 
 
 def test_gf2_is_degenerate_but_valid():
     f = Field(2)
     assert f.generator == 1
     assert f.exp_table.tolist() == [1]
-    assert f.log(1) == 0
+    assert f.log_table[1] == 0
     assert f.add(1, 1) == 0
 
 
@@ -119,7 +120,7 @@ def test_gf9_tables():
     assert powers == [
         (1, 0), (1, 1), (0, 2), (1, 2), (2, 0), (2, 2), (0, 1), (2, 1),
     ]
-    assert f.log(2) == 4  # element 2 is -1, the unique order-2 element
+    assert f.log_table[2] == 4  # element 2 is -1, the unique order-2 element
 
 
 def test_gf25_and_gf27_canonical_moduli():
@@ -253,23 +254,9 @@ def test_pow_edge_cases():
         f.pow(0, -2)
 
 
-def test_log_with_nonstandard_base():
-    f = Field(7)
-    # 2 = 3^2, so log base 2 solves 2t = log(x) in Z_6
-    assert f.log(4, base=2) == 2
-    assert f.pow(2, f.log(4, base=2)) == 4
-    assert f.log(1, base=2) == 0
-    with pytest.raises(ValueError):
-        f.log(3, base=2)  # 3 is not a power of 2
-    with pytest.raises(ValueError):
-        f.log(0)
-    with pytest.raises(ValueError):
-        f.log(3, base=0)
-
-
 def test_element_order_and_primitivity():
     f = Field(3, 2)
-    orders = sorted({8 // math.gcd(f.log(x), 8) for x in range(1, 9)})
+    orders = sorted({8 // math.gcd(f.log_table[x], 8) for x in range(1, 9)})
     assert orders == [1, 2, 4, 8]  # divisors of 8 realised by a cyclic group
     prim = f.primitive_elements()
     assert len(prim) == 4  # euler_phi(8)
@@ -286,8 +273,37 @@ def test_element_order_is_the_first_power_to_reach_one(p, k):
     n = f.order - 1
     for x in range(1, f.order):
         e = next(e for e in itertools.count(1) if f.pow(x, e) == 1)
-        assert n // math.gcd(f.log(x), n) == e
+        assert n // math.gcd(f.log_table[x], n) == e
         assert f.is_primitive(x) == (e == n)
+
+
+def test_powers_of_every_primitive_element_up_to_order_256():
+    checked = 0
+    for q in range(2, 257):
+        pk = prime_power(q)
+        if pk is None:
+            continue
+        f = make_field(*pk)
+        for alpha in f.primitive_elements():
+            assert f.powers(alpha, "alpha") == [f.pow(alpha, i) for i in range(q - 1)], (q, alpha)
+            checked += 1
+        assert f.powers(None, "alpha") == list(f.exp_table)
+    assert checked > 2000
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (0, "beta = 0 is not primitive in GF(7)"),
+        (2, "beta = 2 is not primitive in GF(7)"),  # 2 has order 3
+        (7, "7 is not an element of GF(7)"),
+        (-1, "-1 is not an element of GF(7)"),
+        (True, "malformed field element: expected an integer, got True"),
+    ],
+)
+def test_powers_refuse_an_element_that_is_not_primitive(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_field(7).powers(value, "beta")
 
 
 # -- construction and serialisation ------------------------------------------
@@ -333,7 +349,9 @@ def test_construction_is_deterministic():
 
 
 def test_log_table_is_built_on_first_use():
-    for first_use in (lambda f: f.log(3), lambda f: f.pow(3, 2), lambda f: f.is_primitive(3)):
+    for first_use in (
+        lambda f: f.powers(f.generator, "alpha"), lambda f: f.pow(3, 2), lambda f: f.is_primitive(3)
+    ):
         f = Field(5, 2)
         assert "log_table" not in vars(f)
         first_use(f)

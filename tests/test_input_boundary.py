@@ -285,6 +285,21 @@ def test_reinterpreted_inputs_are_clean_errors(argv, stdin):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--kind", "sidon"],
+        ["verify", "--kind", "weak-sidon"],
+        ["fold", "--lattice", "7,0;0,1", "--direction", "1,0"],
+    ],
+)
+def test_a_sequence_with_both_a_modulus_and_moduli_is_refused(argv):
+    # one of the two keys would be dropped, whichever the reader took
+    stdin = '{"modulus": 7, "moduli": [3], "elements": [1, 2]}'
+    message = "error: sequence JSON has both a 'modulus' and a 'moduli' key\n"
+    assert run_main(argv, stdin) == (1, "", message)
+
+
 SEQUENCES = [
     {"modulus": 7, "elements": [0, 1, 3]},
     {"modulus": 6, "elements": [0, 1, 3]},  # not Sidon: exit 2

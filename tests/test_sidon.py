@@ -11,9 +11,11 @@ from sidon2d import (
     abelian_group_specs,
     check_optimality,
     construct_bose,
+    construct_golomb,
     construct_power_pairs,
     construct_ruzsa,
     construct_singer,
+    construct_welch,
     crt_flatten,
     make_field,
     max_sidon_size,
@@ -156,6 +158,14 @@ def test_the_line_families_build_no_log_table():
     construct_bose(32), construct_singer(9)
     assert "log_table" not in vars(make_field(2, 10))
     assert "log_table" not in vars(make_field(3, 6))
+
+
+def test_the_power_families_build_no_log_table_for_the_generator():
+    # the generator's powers are the exp table itself
+    make_field.cache_clear()  # no other test's logs
+    construct_power_pairs(16), construct_ruzsa(13), construct_welch(11), construct_golomb(9)
+    for p, k in [(2, 4), (13, 1), (11, 1), (3, 2)]:
+        assert "log_table" not in vars(make_field(p, k)), (p, k)
 
 
 def test_subfield_elements_and_rejection():
